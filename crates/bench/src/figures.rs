@@ -84,7 +84,7 @@ pub const SWEEP_FIGURES: [&str; 15] = [
 
 /// The exact key set the named figure ensures, or `None` for names not
 /// in [`SWEEP_FIGURES`]. This is the enumeration the sweep partitioner
-/// shards, so it must stay in lockstep with what each figure function
+/// shards, so it must stay in step with what each figure function
 /// ensures — the custom figures share their key builders with it, and
 /// the fp/managed figures are spelled out here.
 pub fn figure_keys(name: &str) -> Option<Vec<Key>> {

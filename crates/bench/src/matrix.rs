@@ -148,9 +148,8 @@ impl Key {
     }
 
     /// [`Self::fingerprint`] under an explicit seed. Multi-seed sweeps
-    /// cache each replica under the fingerprint a solo run with that
-    /// seed would use — the lockstep engine is bit-identical to solo
-    /// runs, so the cache never needs to know how a result was driven.
+    /// cache each (key, seed) cell under the fingerprint a solo run with
+    /// that seed would use: every cell is an ordinary solo run.
     pub fn fingerprint_at(&self, settings: &Settings, seed: u64) -> String {
         format!(
             "v{}|eval_ps={}|seed={}|wl={}|topo={:?}|scale={:?}|policy={:?}|mech={:?}|alpha={}|roo={}|map={:?}|faults={}|obs={}|src={}|calib={}|energy={}",
@@ -274,9 +273,7 @@ impl Matrix {
     /// [`Settings::seed_list`], in order of preference: already in
     /// memory, in the persistent cache, or freshly simulated (in
     /// parallel) — and persists anything fresh for the next process.
-    /// Keys needing more than one seed are driven by the lockstep
-    /// multi-seed engine (one shared construction per configuration);
-    /// stats count `(key, seed)` cells.
+    /// Each `(key, seed)` cell is one worker-pool job; stats count cells.
     ///
     /// # Errors
     ///
@@ -355,26 +352,18 @@ impl Matrix {
             return Ok(stats);
         }
 
-        // Group each key's missing seeds into one job: multi-seed jobs
-        // run lockstep, sharing construction across replicas.
-        let mut jobs: Vec<(Key, SimConfig, Vec<u64>)> = Vec::new();
-        for (k, s) in &to_simulate {
-            match jobs.iter_mut().find(|(key, _, _)| key == k) {
-                Some((_, _, seeds)) => seeds.push(*s),
-                None => jobs.push((k.clone(), k.try_config(settings)?, vec![*s])),
-            }
-        }
-        let reports = memnet_core::sweep_seeds(
-            jobs.iter().map(|(_, cfg, seeds)| (cfg.clone(), seeds.clone())).collect(),
-            settings.threads,
-        );
-        let fresh: Vec<(Key, u64, RunReport)> = jobs
-            .into_iter()
-            .zip(reports)
-            .flat_map(|((k, _, seeds), rs)| {
-                seeds.into_iter().zip(rs).map(move |(s, r)| (k.clone(), s, r))
+        // One pool job per missing cell, in plan order.
+        let configs = to_simulate
+            .iter()
+            .map(|(k, s)| {
+                let mut cfg = k.try_config(settings)?;
+                cfg.seed = *s;
+                Ok(cfg)
             })
-            .collect();
+            .collect::<Result<Vec<SimConfig>, String>>()?;
+        let reports = memnet_core::sweep(configs, settings.threads);
+        let fresh: Vec<(Key, u64, RunReport)> =
+            to_simulate.into_iter().zip(reports).map(|((k, s), r)| (k, s, r)).collect();
         if let Some(disk) = self.disk_for(settings) {
             let entries = fresh.iter().map(|(k, s, r)| (k.fingerprint_at(settings, *s), r.clone()));
             if let Err(e) = disk.store(entries) {
@@ -542,14 +531,14 @@ mod tests {
     }
 
     #[test]
-    fn multi_seed_cells_run_lockstep_and_match_solo_sweeps() {
+    fn multi_seed_cells_match_solo_sweeps() {
         let settings = Settings { seeds: vec![2, 3], ..tiny_settings() };
         let keys = [tiny_key("mixD"), tiny_key("lu.D")];
         let mut m = Matrix::new();
         let stats = m.ensure(&keys, &settings).unwrap();
         assert_eq!(stats, EnsureStats { requested: 6, memoized: 0, cache_hits: 0, simulated: 6 });
 
-        // Each replica is byte-identical to the same cell swept solo
+        // Each seed's cell is byte-identical to the same cell swept solo
         // under that seed alone.
         for k in &keys {
             assert_eq!(
@@ -567,7 +556,7 @@ mod tests {
                 assert_eq!(
                     serde::json::to_string(m.get_seeded(k, seed)),
                     serde::json::to_string(solo.get(k)),
-                    "lockstep replica must equal the solo sweep for seed {seed}",
+                    "multi-seed cell must equal the solo sweep for seed {seed}",
                 );
             }
         }
@@ -588,7 +577,7 @@ mod tests {
         assert_eq!(stats.simulated, 2);
 
         // A later solo sweep under the extra seed is served entirely from
-        // the cache the lockstep run populated.
+        // the cache the multi-seed run populated.
         let solo_settings = Settings {
             seed: 2,
             seeds: Vec::new(),

@@ -251,8 +251,7 @@ fn footer_line(shard: Shard, cells: usize, stats: EnsureStats) -> String {
 }
 
 /// Runs one shard of the plan — ensuring exactly the cells the shard
-/// owns (lockstep-batching any key the shard holds several seeds of) —
-/// and renders its `memnet-sweep` result text.
+/// owns — and renders its `memnet-sweep` result text.
 ///
 /// # Errors
 ///

@@ -40,7 +40,6 @@ pub mod config;
 pub mod engine;
 pub mod frontend;
 pub mod limits;
-pub mod lockstep;
 pub mod metrics;
 pub mod multichannel;
 pub mod report_text;

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! perf [--quick] [--out FILE] [--check BASELINE] [--bless FILE]
-//!      [--tolerance PCT] [--obs-gate PCT] [--lockstep-gate RATIO]
+//!      [--tolerance PCT] [--obs-gate PCT]
 //! ```
 //!
 //! * `--quick` — smaller op counts (~1 s); what CI runs.
@@ -16,11 +16,6 @@
 //! * `--tolerance P` — gate threshold in percent (default 20).
 //! * `--obs-gate P` — exit 1 when the observability recorder costs more
 //!   than P percent events/sec (`end_to_end_obs_on` vs `_off`).
-//! * `--lockstep-gate R` — exit 1 when the multi-seed lockstep bench's
-//!   aggregate events/sec is less than R times the solo bench's. On a
-//!   host without ≥ 2 cores the requirement relaxes to the serial
-//!   no-regression floor (see [`crate::LOCKSTEP_SERIAL_FLOOR`]) — serial
-//!   interleaving cannot speed replicas up, only avoid slowing them.
 
 use std::process::ExitCode;
 
@@ -35,24 +30,16 @@ struct Args {
     bless: Option<String>,
     tolerance: f64,
     obs_gate: Option<f64>,
-    lockstep_gate: Option<f64>,
 }
 
 fn usage() -> &'static str {
     "usage: perf [--quick] [--out FILE] [--check BASELINE] [--bless FILE] \
-     [--tolerance PCT] [--obs-gate PCT] [--lockstep-gate RATIO]"
+     [--tolerance PCT] [--obs-gate PCT]"
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        quick: false,
-        out: None,
-        check: None,
-        bless: None,
-        tolerance: 20.0,
-        obs_gate: None,
-        lockstep_gate: None,
-    };
+    let mut args =
+        Args { quick: false, out: None, check: None, bless: None, tolerance: 20.0, obs_gate: None };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
@@ -71,13 +58,6 @@ fn parse_args() -> Result<Args, String> {
                     value("--obs-gate")?
                         .parse()
                         .map_err(|_| "--obs-gate wants a number (percent)".to_owned())?,
-                );
-            }
-            "--lockstep-gate" => {
-                args.lockstep_gate = Some(
-                    value("--lockstep-gate")?
-                        .parse()
-                        .map_err(|_| "--lockstep-gate wants a ratio (e.g. 1.5)".to_owned())?,
                 );
             }
             "--help" | "-h" => {
@@ -201,33 +181,5 @@ pub fn run() -> ExitCode {
         }
     }
 
-    if let Some(target) = args.lockstep_gate {
-        let parallel = std::thread::available_parallelism().map(|n| n.get() >= 2).unwrap_or(false);
-        match crate::lockstep_gate(&report, target, parallel) {
-            Err(e) => {
-                memnet_warn!("[perf] {e}");
-                return ExitCode::from(2);
-            }
-            Ok(gate) if gate.pass => {
-                memnet_log!(
-                    "[perf] lockstep gate passed: {:.2}x aggregate events/s vs solo \
-                     (floor {:.2}x, {})",
-                    gate.ratio,
-                    gate.required,
-                    if gate.parallel { "multi-core target" } else { "serial host floor" }
-                );
-            }
-            Ok(gate) => {
-                memnet_warn!(
-                    "[perf] lockstep gate failed: {:.2}x aggregate events/s vs solo, \
-                     floor {:.2}x ({})",
-                    gate.ratio,
-                    gate.required,
-                    if gate.parallel { "multi-core target" } else { "serial host floor" }
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     ExitCode::SUCCESS
 }

@@ -31,10 +31,10 @@ pub mod kernels;
 /// Bump when the [`BenchReport`] layout changes; the gate refuses to
 /// compare reports across schema versions (re-bless instead).
 ///
-/// History: v2 added the multi-seed lockstep bench pair and the
-/// per-replica throughput fields (`replicas`,
-/// `events_per_sec_per_replica`).
-pub const BENCH_SCHEMA_VERSION: u32 = 2;
+/// History: v2 added a multi-seed bench pair and the per-replica
+/// throughput fields (`replicas`, `events_per_sec_per_replica`); v3
+/// removed them again.
+pub const BENCH_SCHEMA_VERSION: u32 = 3;
 
 #[cfg(feature = "perf-alloc")]
 mod counting_alloc {
@@ -96,14 +96,8 @@ pub struct BenchResult {
     /// Inner operations per second (1e9 / `per_iter_ns`).
     pub ops_per_sec: f64,
     /// Simulator events per second; set only by end-to-end benches, and
-    /// the only metric the regression gate keys on. For multi-replica
-    /// benches this is the *aggregate* over all replicas.
+    /// the only metric the regression gate keys on.
     pub events_per_sec: Option<f64>,
-    /// Replica count of a multi-seed bench (`None` for single runs).
-    pub replicas: Option<u64>,
-    /// `events_per_sec / replicas` — per-replica throughput, the number
-    /// to compare against a single-run bench's events/sec.
-    pub events_per_sec_per_replica: Option<f64>,
     /// Allocation calls during the measurement (`perf-alloc` builds only).
     pub allocations: Option<u64>,
 }
@@ -203,58 +197,6 @@ pub fn find_regressions(
     Ok(out)
 }
 
-/// Aggregate events/sec floor the lockstep half must hold against the
-/// solo half on a host without usable parallelism: replicas interleave
-/// serially there, so the honest expectation is parity (shared setup
-/// minus batching overhead), not speedup.
-pub const LOCKSTEP_SERIAL_FLOOR: f64 = 0.9;
-
-/// The lockstep speedup gate's verdict.
-#[derive(Debug, Clone)]
-pub struct LockstepGate {
-    /// Measured aggregate events/sec ratio, lockstep over solo.
-    pub ratio: f64,
-    /// The floor the ratio was held to.
-    pub required: f64,
-    /// Whether the multi-core target applied (vs the serial floor).
-    pub parallel: bool,
-    /// `ratio >= required`.
-    pub pass: bool,
-}
-
-/// Gates the multi-seed lockstep speedup: the aggregate events/sec of
-/// `end_to_end_multi_seed_lockstep` over `_solo` must reach `target`
-/// (e.g. 1.5) when `parallel` — the host can actually run replicas on
-/// separate cores — or [`LOCKSTEP_SERIAL_FLOOR`] otherwise. Callers pass
-/// `parallel` explicitly (the CLI detects it via
-/// `std::thread::available_parallelism`) so the policy stays testable.
-///
-/// # Errors
-///
-/// Fails when either half of the bench pair is missing from the report.
-pub fn lockstep_gate(
-    report: &BenchReport,
-    target: f64,
-    parallel: bool,
-) -> Result<LockstepGate, String> {
-    let eps = |name: &str| {
-        report
-            .benches
-            .iter()
-            .find(|b| b.name == name)
-            .and_then(|b| b.events_per_sec)
-            .ok_or_else(|| format!("lockstep gate needs the {name} bench"))
-    };
-    let solo = eps("end_to_end_multi_seed_solo")?;
-    let lockstep = eps("end_to_end_multi_seed_lockstep")?;
-    if solo <= 0.0 {
-        return Err("lockstep gate: solo bench reported no throughput".into());
-    }
-    let ratio = lockstep / solo;
-    let required = if parallel { target } else { LOCKSTEP_SERIAL_FLOOR };
-    Ok(LockstepGate { ratio, required, parallel, pass: ratio >= required })
-}
-
 /// `git rev-parse --short HEAD`, or `"unknown"` when git or the checkout
 /// is unavailable (e.g. a source tarball).
 pub fn git_sha() -> String {
@@ -307,8 +249,6 @@ fn timed<R>(name: &str, ops: u64, mut f: impl FnMut() -> R) -> BenchResult {
         per_iter_ns: wall_s * 1e9 / ops as f64,
         ops_per_sec: ops as f64 / wall_s,
         events_per_sec: None,
-        replicas: None,
-        events_per_sec_per_replica: None,
         allocations: alloc_before.and_then(|b| allocations().map(|a| a - b)),
     }
 }
@@ -333,37 +273,6 @@ fn end_to_end_bench(
         result.per_iter_ns = result.wall_ms * 1e6 / events.max(1) as f64;
         result.ops_per_sec = events as f64 / (result.wall_ms / 1e3);
         result.events_per_sec = Some(result.ops_per_sec);
-        if best.as_ref().is_none_or(|b| result.wall_ms < b.wall_ms) {
-            best = Some(result);
-        }
-    }
-    best.expect("at least one repeat")
-}
-
-/// Times a multi-replica end-to-end bench: like [`end_to_end_bench`],
-/// but `f` yields one report per replica, events are the aggregate over
-/// all replicas, and the per-replica throughput fields are filled in.
-fn end_to_end_many_bench(
-    name: &str,
-    repeats: u32,
-    mut f: impl FnMut() -> Vec<memnet_core::RunReport>,
-) -> BenchResult {
-    let mut best: Option<BenchResult> = None;
-    for _ in 0..repeats.max(1) {
-        let mut events = 0u64;
-        let mut replicas = 0u64;
-        let mut result = timed(name, 1, || {
-            let reports = f();
-            replicas = reports.len() as u64;
-            events = reports.iter().map(|r| r.events_processed).sum();
-            reports.iter().map(|r| r.completed_reads).sum::<u64>()
-        });
-        result.iters = events;
-        result.per_iter_ns = result.wall_ms * 1e6 / events.max(1) as f64;
-        result.ops_per_sec = events as f64 / (result.wall_ms / 1e3);
-        result.events_per_sec = Some(result.ops_per_sec);
-        result.replicas = Some(replicas);
-        result.events_per_sec_per_replica = Some(result.ops_per_sec / replicas.max(1) as f64);
         if best.as_ref().is_none_or(|b| result.wall_ms < b.wall_ms) {
             best = Some(result);
         }
@@ -405,20 +314,6 @@ pub fn run_suite(quick: bool) -> BenchReport {
         kernels::end_to_end_obs(obs_eval_us, 7, true)
     }));
 
-    // Multi-seed lockstep pair: K replicas run solo (K engines, one per
-    // seed) vs through Engine::run_many (shared setup; thread-parallel
-    // replicas where the host has cores). Both halves do bit-identical
-    // work, so their aggregate events/sec ratio is the lockstep engine's
-    // speedup — `--lockstep-gate` enforces a floor on it.
-    let seeds = kernels::multi_seed_seeds();
-    let ms_eval_us = if quick { 100 } else { 300 };
-    benches.push(end_to_end_many_bench("end_to_end_multi_seed_solo", 2, || {
-        kernels::end_to_end_multi_seed_solo(ms_eval_us, &seeds)
-    }));
-    benches.push(end_to_end_many_bench("end_to_end_multi_seed_lockstep", 2, || {
-        kernels::end_to_end_multi_seed_lockstep(ms_eval_us, &seeds)
-    }));
-
     BenchReport {
         schema_version: BENCH_SCHEMA_VERSION,
         git_sha: git_sha(),
@@ -445,28 +340,9 @@ mod tests {
                 per_iter_ns: 10.0,
                 ops_per_sec: eps,
                 events_per_sec: Some(eps),
-                replicas: None,
-                events_per_sec_per_replica: None,
                 allocations: None,
             }],
         }
-    }
-
-    fn with_pair(solo_eps: f64, lockstep_eps: f64) -> BenchReport {
-        let mut report = fake_report(1e6);
-        for (name, eps) in [
-            ("end_to_end_multi_seed_solo", solo_eps),
-            ("end_to_end_multi_seed_lockstep", lockstep_eps),
-        ] {
-            let mut b = report.benches[0].clone();
-            b.name = name.to_owned();
-            b.ops_per_sec = eps;
-            b.events_per_sec = Some(eps);
-            b.replicas = Some(8);
-            b.events_per_sec_per_replica = Some(eps / 8.0);
-            report.benches.push(b);
-        }
-        report
     }
 
     #[test]
@@ -492,26 +368,6 @@ mod tests {
         assert!((regs[0].slowdown() - 0.25).abs() < 1e-9);
         // Faster is never a regression.
         assert!(find_regressions(&base, &fake_report(2e6), 0.20).unwrap().is_empty());
-    }
-
-    #[test]
-    fn lockstep_gate_scales_its_floor_to_host_parallelism() {
-        // 1.8x speedup: passes the 1.5x multi-core target.
-        let fast = with_pair(1e6, 1.8e6);
-        let g = lockstep_gate(&fast, 1.5, true).unwrap();
-        assert!(g.pass && g.parallel);
-        assert!((g.ratio - 1.8).abs() < 1e-9);
-        // 1.1x: fails the multi-core target but clears the serial floor,
-        // which is what a single-core host is honestly capable of.
-        let modest = with_pair(1e6, 1.1e6);
-        assert!(!lockstep_gate(&modest, 1.5, true).unwrap().pass);
-        let serial = lockstep_gate(&modest, 1.5, false).unwrap();
-        assert!(serial.pass && !serial.parallel);
-        assert!((serial.required - LOCKSTEP_SERIAL_FLOOR).abs() < 1e-9);
-        // An actual lockstep slowdown fails everywhere.
-        assert!(!lockstep_gate(&with_pair(1e6, 0.5e6), 1.5, false).unwrap().pass);
-        // A report missing the pair cannot pass silently.
-        assert!(lockstep_gate(&fake_report(1e6), 1.5, true).is_err());
     }
 
     #[test]

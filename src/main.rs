@@ -140,7 +140,7 @@ fn usage() -> &'static str {
      \x20                registry; eval/seed/cache from MEMNET_EVAL_US,\n\
      \x20                MEMNET_SEED, MEMNET_CACHE_DIR / MEMNET_NO_CACHE;\n\
      \x20                --seeds 2,3 adds replica seeds per cell, default\n\
-     \x20                MEMNET_SEEDS, simulated lockstep)\n\
+     \x20                MEMNET_SEEDS)\n\
      \x20 merge:         recombine per-shard sweep files into output\n\
      \x20                byte-identical to the unsharded run (exit 0 merged,\n\
      \x20                1 I/O error, 2 mismatched or incomplete shards);\n\

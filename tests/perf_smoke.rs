@@ -37,8 +37,6 @@ fn suite_covers_every_component_and_gates_end_to_end() {
         "end_to_end_small",
         "end_to_end_obs_off",
         "end_to_end_obs_on",
-        "end_to_end_multi_seed_solo",
-        "end_to_end_multi_seed_lockstep",
     ] {
         assert!(names.contains(&expected), "missing bench {expected:?} in {names:?}");
     }
@@ -56,19 +54,6 @@ fn suite_covers_every_component_and_gates_end_to_end() {
         assert!(b.ops_per_sec > 0.0, "{}: zero throughput", b.name);
     }
     assert!(report.benches.iter().any(|b| b.events_per_sec.unwrap_or(0.0) > 0.0));
-    // The multi-seed pair carries the per-replica throughput fields, and
-    // exactly that pair does.
-    for b in &report.benches {
-        let is_multi = b.name.starts_with("end_to_end_multi_seed");
-        assert_eq!(b.replicas.is_some(), is_multi, "replicas on the wrong bench: {}", b.name);
-        assert_eq!(b.events_per_sec_per_replica.is_some(), is_multi, "{}", b.name);
-        if is_multi {
-            assert_eq!(b.replicas, Some(memnet_perf::kernels::MULTI_SEED_K as u64));
-            let agg = b.events_per_sec.unwrap();
-            let per = b.events_per_sec_per_replica.unwrap();
-            assert!((per * memnet_perf::kernels::MULTI_SEED_K as f64 - agg).abs() <= agg * 1e-9);
-        }
-    }
 }
 
 #[test]
