@@ -15,21 +15,52 @@ use memnet_policy::{Mechanism, PowerController};
 use memnet_power::HmcPowerModel;
 use memnet_simcore::{EventQueue, SimDuration, SimTime, SplitMix64};
 
-/// Pushes and pops `n` randomly timed events through the two-tier event
-/// queue, the simulator's innermost data structure.
+/// The delays the engine schedules most, with their share of its queue
+/// pushes in percent, measured over 16.7M pushes of a 2 ms network-aware
+/// VWL+ROO run of mixB on the big ternary tree: the link and router
+/// steps, the DRAM read, and the ROO turn-off checks. Together they cover
+/// 88%; the other 12% fall below 128 ns.
+const QUEUE_DELAY_MIX: [(u64, u64); 8] = [
+    (0, 29),
+    (3_200, 24),
+    (2_560, 17),
+    (640, 4),
+    (30_000, 4),
+    (32_000, 5),
+    (128_000, 4),
+    (2_048_000, 1),
+];
+
+/// Events pending while the kernel runs: the engine's queue holds 65–128
+/// at 89% of its pushes.
+const QUEUE_DEPTH: u64 = 100;
+
+/// Pops and pushes `n` events through the event queue, the simulator's
+/// innermost data structure, scheduling as the engine does: every pop
+/// pushes one event at the popped time plus a delay drawn from
+/// [`QUEUE_DELAY_MIX`], or uniformly below 128 ns for the remaining 12%,
+/// so the queue holds [`QUEUE_DEPTH`] events throughout.
 pub fn event_queue_churn(n: u64, seed: u64) -> u64 {
     let mut rng = SplitMix64::new(seed);
-    let mut q = EventQueue::with_capacity(1024);
-    let mut sum = 0u64;
-    // Sliding window: keep ~64 events pending, matching the simulator's
-    // observed queue depth, rather than enqueueing all n at once.
-    for i in 0..n {
-        q.push(SimTime::from_ps(rng.next_below(1_000_000)), i);
-        if i >= 64 {
-            if let Some((_, v)) = q.pop() {
-                sum = sum.wrapping_add(v);
+    let mut delay = move || {
+        let mut roll = rng.next_below(100);
+        for &(ps, share) in &QUEUE_DELAY_MIX {
+            if roll < share {
+                return SimDuration::from_ps(ps);
             }
+            roll -= share;
         }
+        SimDuration::from_ps(rng.next_below(128_000))
+    };
+    let mut q = EventQueue::with_capacity(1024);
+    for i in 0..QUEUE_DEPTH {
+        q.push(SimTime::ZERO + delay(), i);
+    }
+    let mut sum = 0u64;
+    for i in QUEUE_DEPTH..n {
+        let (t, v) = q.pop().expect("the queue holds QUEUE_DEPTH events");
+        sum = sum.wrapping_add(v);
+        q.push(t + delay(), i);
     }
     while let Some((_, v)) = q.pop() {
         sum = sum.wrapping_add(v);

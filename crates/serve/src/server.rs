@@ -130,11 +130,12 @@ struct ConnOut {
 impl ConnOut {
     fn send(&self, line: &str) {
         use std::io::Write;
+        // One write per event line: a trailing newline sent on its own
+        // would wait for the client's delayed ACK of the line before it.
+        let buf = format!("{line}\n");
         let mut guard = self.stream.lock().unwrap();
         if let Some(stream) = guard.as_mut() {
-            let ok =
-                stream.write_all(line.as_bytes()).and_then(|()| stream.write_all(b"\n")).is_ok();
-            if !ok {
+            if stream.write_all(buf.as_bytes()).is_err() {
                 *guard = None;
             }
         }
@@ -372,6 +373,9 @@ impl Server {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     stream.set_nonblocking(false)?;
+                    // Event lines are small and latency-bound: send each
+                    // at once instead of coalescing it behind an unACKed one.
+                    stream.set_nodelay(true)?;
                     let reader = stream.try_clone()?;
                     let out = Arc::new(ConnOut { stream: Mutex::new(Some(stream)) });
                     conns.lock().unwrap().push(Arc::clone(&out));

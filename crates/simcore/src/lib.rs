@@ -8,8 +8,10 @@
 //!   Memory-network links serialize one 16 B flit in 0.64 ns, so nanosecond
 //!   resolution is too coarse; picoseconds represent every interval in the
 //!   model exactly as an integer.
-//! - [`EventQueue`] — a deterministic time-ordered event queue. Ties are
-//!   broken by insertion order so that simulations are exactly reproducible.
+//! - [`EventQueue`] — a deterministic time-ordered event queue: a FIFO for
+//!   the current instant, a timing wheel over the next 4.19 µs and an
+//!   ordered overflow beyond it. Ties are broken by insertion order so that
+//!   simulations are exactly reproducible.
 //! - [`SplitMix64`] — a tiny, fast, deterministic PRNG used by the workload
 //!   generators. Runs with equal seeds produce identical request streams.
 //! - [`stats`] — counters, time-in-state trackers, histograms and online

@@ -40,6 +40,40 @@ proptest! {
     }
 
     #[test]
+    fn event_queue_pops_the_time_seq_minimum_across_several_horizons(
+        ops in prop::collection::vec(
+            (prop_oneof![Just(0u64), 0u64..4_096, 0u64..20_000_000], 0u8..8),
+            1..400,
+        )
+    ) {
+        // The queue's wheel covers 4.19 µs past its cursor; these times
+        // reach ~5 such horizons past the frontier, and some land behind
+        // it. Every pop must be the (time, push order) minimum.
+        let mut q = EventQueue::new();
+        let mut reference: Vec<(u64, usize)> = Vec::new();
+        let mut frontier = 0u64;
+        for (i, (delay, op)) in ops.into_iter().enumerate() {
+            if op < 6 {
+                let t = if op == 5 { frontier.saturating_sub(delay) } else { frontier + delay };
+                q.push(SimTime::from_ps(t), i);
+                reference.push((t, i));
+            } else if let Some(at) = (0..reference.len()).min_by_key(|&j| reference[j]) {
+                let expected = reference.swap_remove(at);
+                let (t, e) = q.pop().expect("queue tracks the reference");
+                prop_assert_eq!((t.as_ps(), e), expected);
+                frontier = expected.0;
+            } else {
+                prop_assert!(q.pop().is_none());
+            }
+            prop_assert_eq!(q.len(), reference.len());
+        }
+        reference.sort_unstable();
+        let drained: Vec<(u64, usize)> =
+            std::iter::from_fn(|| q.pop().map(|(t, e)| (t.as_ps(), e))).collect();
+        prop_assert_eq!(drained, reference);
+    }
+
+    #[test]
     fn rng_streams_are_reproducible_and_uncorrelated(seed in any::<u64>()) {
         let a: Vec<u64> = {
             let mut r = SplitMix64::new(seed);
