@@ -16,6 +16,11 @@
 //! run-affecting [`crate::Settings`] fields (evaluation period, seed) and
 //! every `Key` field — any change to either invalidates the entry.
 //!
+//! Each result is held in memory once. The cache keeps every entry as an
+//! `Arc<RunReport>`, and [`crate::Matrix`] holds that same allocation for
+//! results it loads from here or simulates and stores here, so a sweep
+//! costs one report per cell, not one per holder.
+//!
 //! Writes are atomic and collision-free under concurrent figure binaries:
 //! each [`DiskCache::store`] call writes a fresh uniquely named temp file
 //! in the cache directory and `rename(2)`s it into place, so readers only
@@ -27,6 +32,7 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use memnet_core::RunReport;
 use serde::{json, Deserialize, Serialize};
@@ -60,15 +66,16 @@ struct Entry {
     v: u32,
     /// Configuration fingerprint.
     fp: String,
-    /// The cached result.
-    report: RunReport,
+    /// The cached result. Serializes as the report itself, so the line
+    /// format does not depend on how the report is held.
+    report: Arc<RunReport>,
 }
 
 /// An open cache directory with all valid entries loaded.
 #[derive(Debug)]
 pub struct DiskCache {
     dir: PathBuf,
-    entries: HashMap<String, RunReport>,
+    entries: HashMap<String, Arc<RunReport>>,
 }
 
 /// Per-process counter making store filenames unique even when two stores
@@ -135,11 +142,23 @@ impl DiskCache {
 
     /// Looks up a result by fingerprint.
     pub fn get(&self, fp: &str) -> Option<&RunReport> {
+        self.get_shared(fp).map(|r| &**r)
+    }
+
+    /// [`Self::get`] as the shared allocation itself, for holders that
+    /// keep the result beyond this borrow: cloning the `Arc` shares the
+    /// one report instead of copying it.
+    pub fn get_shared(&self, fp: &str) -> Option<&Arc<RunReport>> {
         self.entries.get(fp)
     }
 
     /// Persists freshly simulated results, returning the file written
     /// (`None` when `fresh` is empty).
+    ///
+    /// Each report may come owned (`RunReport`) or shared
+    /// (`Arc<RunReport>`); either way the file bytes are the same. A
+    /// shared report is kept by reference, so a caller that holds the
+    /// same `Arc` and the cache share one copy of it.
     ///
     /// The entries are retained in memory so subsequent `get`s hit even
     /// when the disk write fails — a full or read-only cache directory
@@ -151,17 +170,17 @@ impl DiskCache {
     /// The write is atomic: a unique temp file in the cache directory is
     /// renamed into place, so concurrent figure binaries can store
     /// simultaneously without corrupting or overwriting one another.
-    pub fn store(
+    pub fn store<R: Into<Arc<RunReport>>>(
         &mut self,
-        fresh: impl IntoIterator<Item = (String, RunReport)>,
+        fresh: impl IntoIterator<Item = (String, R)>,
     ) -> std::io::Result<Option<PathBuf>> {
         let mut body = String::new();
         let mut batch = Vec::new();
         for (fp, report) in fresh {
-            let entry = Entry { v: CACHE_SCHEMA_VERSION, fp: fp.clone(), report };
+            let entry = Entry { v: CACHE_SCHEMA_VERSION, fp, report: report.into() };
             body.push_str(&json::to_string(&entry));
             body.push('\n');
-            batch.push((fp, entry.report));
+            batch.push((entry.fp, entry.report));
         }
         if batch.is_empty() {
             return Ok(None);
@@ -266,6 +285,35 @@ mod tests {
         assert_eq!(json::to_string(cached), json::to_string(&report));
         assert!(reopened.get("fp-b").is_none());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_writes_the_same_bytes_for_owned_and_shared_reports() {
+        let report = tiny_report();
+        let shared = Arc::new(report.clone());
+        let line = format!(
+            "{{\"v\":{CACHE_SCHEMA_VERSION},\"fp\":\"fp-a\",\"report\":{}}}\n",
+            json::to_string(&report)
+        );
+
+        let owned_dir = unique_dir("owned");
+        let owned_file = DiskCache::open(&owned_dir)
+            .unwrap()
+            .store([("fp-a".to_owned(), report)])
+            .unwrap()
+            .expect("one file");
+        let shared_dir = unique_dir("shared");
+        let mut cache = DiskCache::open(&shared_dir).unwrap();
+        let shared_file =
+            cache.store([("fp-a".to_owned(), Arc::clone(&shared))]).unwrap().expect("one file");
+
+        assert_eq!(fs::read_to_string(&owned_file).unwrap(), line);
+        assert_eq!(fs::read_to_string(&shared_file).unwrap(), line);
+        // The cache keeps the caller's allocation, not a copy of it.
+        assert!(std::ptr::eq(cache.get("fp-a").unwrap(), &*shared));
+        assert_eq!(Arc::strong_count(&shared), 2);
+        let _ = fs::remove_dir_all(&owned_dir);
+        let _ = fs::remove_dir_all(&shared_dir);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! configuration, filled by parallel sweeps.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use memnet_core::{AddressMapping, NetworkScale, PolicyKind, RunReport, SimConfig};
 use memnet_net::mech::RooParams;
@@ -232,13 +233,17 @@ pub struct EnsureStats {
 
 /// Memoized experiment results, backed by the persistent on-disk cache
 /// when [`Settings::cache_dir`] is set.
+///
+/// Each cell's report is one shared allocation: the base-seed view, the
+/// seeded map and the disk cache's in-memory entry all hold the same
+/// `Arc`, whether the report was simulated here or loaded from disk.
 #[derive(Debug, Default)]
 pub struct Matrix {
     /// Base-seed results, the view every figure reads via [`Matrix::get`].
-    reports: HashMap<Key, RunReport>,
+    reports: HashMap<Key, Arc<RunReport>>,
     /// Every ensured `(key, seed)` cell, including the base seed, for
     /// multi-seed consumers ([`Matrix::get_seeded`], sharded sweeps).
-    seeded: HashMap<(Key, u64), RunReport>,
+    seeded: HashMap<(Key, u64), Arc<RunReport>>,
     disk: Option<DiskCache>,
 }
 
@@ -323,10 +328,10 @@ impl Matrix {
         // Second chance: the persistent cache.
         let mut to_simulate: Vec<(Key, u64)> = Vec::with_capacity(missing.len());
         if let Some(disk) = self.disk_for(settings) {
-            let mut hits: Vec<((Key, u64), RunReport)> = Vec::new();
+            let mut hits: Vec<((Key, u64), Arc<RunReport>)> = Vec::new();
             for (k, s) in missing {
-                match disk.get(&k.fingerprint_at(settings, s)) {
-                    Some(r) => hits.push(((k, s), r.clone())),
+                match disk.get_shared(&k.fingerprint_at(settings, s)) {
+                    Some(r) => hits.push(((k, s), Arc::clone(r))),
                     None => to_simulate.push((k, s)),
                 }
             }
@@ -362,10 +367,11 @@ impl Matrix {
             })
             .collect::<Result<Vec<SimConfig>, String>>()?;
         let reports = memnet_core::sweep(configs, settings.threads);
-        let fresh: Vec<(Key, u64, RunReport)> =
-            to_simulate.into_iter().zip(reports).map(|((k, s), r)| (k, s, r)).collect();
+        let fresh: Vec<(Key, u64, Arc<RunReport>)> =
+            to_simulate.into_iter().zip(reports).map(|((k, s), r)| (k, s, Arc::new(r))).collect();
         if let Some(disk) = self.disk_for(settings) {
-            let entries = fresh.iter().map(|(k, s, r)| (k.fingerprint_at(settings, *s), r.clone()));
+            let entries =
+                fresh.iter().map(|(k, s, r)| (k.fingerprint_at(settings, *s), Arc::clone(r)));
             if let Err(e) = disk.store(entries) {
                 memnet_simcore::memnet_warn!("[matrix] failed to persist results: {e}");
             }
@@ -378,9 +384,9 @@ impl Matrix {
 
     /// Records one ensured cell: always in the seeded map, and in the
     /// base-seed view when the seed is the base seed.
-    fn insert(&mut self, key: Key, seed: u64, settings: &Settings, report: RunReport) {
+    fn insert(&mut self, key: Key, seed: u64, settings: &Settings, report: Arc<RunReport>) {
         if seed == settings.seed {
-            self.reports.insert(key.clone(), report.clone());
+            self.reports.insert(key.clone(), Arc::clone(&report));
         }
         self.seeded.insert((key, seed), report);
     }
@@ -494,6 +500,43 @@ mod tests {
         let stats = Matrix::new().ensure(&keys, &reseeded).unwrap();
         assert_eq!(stats.cache_hits, 0);
         assert_eq!(stats.simulated, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The matrix's own disk-cache entry for one cell.
+    fn disk_entry<'m>(m: &'m Matrix, k: &Key, settings: &Settings, seed: u64) -> &'m RunReport {
+        let disk = m.disk.as_ref().expect("the cache dir is open");
+        disk.get(&k.fingerprint_at(settings, seed)).expect("the cell is cached")
+    }
+
+    #[test]
+    fn a_cell_is_one_allocation_in_both_views_and_the_disk_cache() {
+        let dir =
+            std::env::temp_dir().join(format!("memnet-matrix-test-share-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let settings = Settings { seeds: vec![2], cache_dir: Some(dir.clone()), ..tiny_settings() };
+        let k = tiny_key("mixD");
+        let cells = [(k.clone(), settings.seed), (k.clone(), 2)];
+
+        let mut cold = Matrix::new();
+        let stats = cold.ensure_cells(&cells, &settings).unwrap();
+        assert_eq!(stats.simulated, 2);
+        let base = cold.get(&k);
+        assert!(std::ptr::eq(base, cold.get_seeded(&k, settings.seed)), "base-seed views share");
+        assert!(std::ptr::eq(base, disk_entry(&cold, &k, &settings, settings.seed)));
+        assert!(std::ptr::eq(cold.get_seeded(&k, 2), disk_entry(&cold, &k, &settings, 2)));
+
+        // A second matrix on the same directory serves its hits from its
+        // own disk cache's allocation.
+        let mut warm = Matrix::new();
+        let stats = warm.ensure_cells(&cells, &settings).unwrap();
+        assert_eq!(stats, EnsureStats { requested: 2, memoized: 0, cache_hits: 2, simulated: 0 });
+        assert!(std::ptr::eq(warm.get(&k), warm.get_seeded(&k, settings.seed)));
+        for seed in [settings.seed, 2] {
+            let entry = disk_entry(&warm, &k, &settings, seed);
+            assert!(std::ptr::eq(warm.get_seeded(&k, seed), entry), "seed {seed}");
+        }
+        assert!(!std::ptr::eq(warm.get(&k), cold.get(&k)), "each matrix loads its own copy");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

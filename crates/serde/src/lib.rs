@@ -375,12 +375,19 @@ pub mod json {
                         }
                     }
                     Some(_) => {
-                        // Consume one UTF-8 character.
-                        let rest = core::str::from_utf8(&self.bytes[self.pos..])
+                        // Copy the whole run up to the next quote or
+                        // backslash. Both are ASCII, so they never sit
+                        // inside a multi-byte character and the run is
+                        // whole characters of the input `&str`.
+                        let rest = &self.bytes[self.pos..];
+                        let len = rest
+                            .iter()
+                            .position(|&b| b == b'"' || b == b'\\')
+                            .ok_or_else(|| Error::msg("unterminated string"))?;
+                        let run = core::str::from_utf8(&rest[..len])
                             .map_err(|_| Error::msg("invalid utf-8 in string"))?;
-                        let c = rest.chars().next().unwrap();
-                        out.push(c);
-                        self.pos += c.len_utf8();
+                        out.push_str(run);
+                        self.pos += len;
                     }
                 }
             }
@@ -603,6 +610,20 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
+/// Like real serde's `rc` feature: an `Arc<T>` is written as the `T` it
+/// points to, and read back into a fresh allocation.
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn serialize(&self, s: &mut ser::Serializer) {
+        (**self).serialize(s);
+    }
+}
+
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn deserialize(v: &json::Value) -> Result<Self, de::Error> {
+        T::deserialize(v).map(std::sync::Arc::new)
+    }
+}
+
 macro_rules! tuple_impls {
     ($(($($n:tt $t:ident),+))+) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
@@ -689,6 +710,40 @@ mod tests {
         assert!(parse("[1 2]").is_err());
         assert!(parse("").is_err());
         assert!(parse("[1] junk").is_err());
+    }
+
+    #[test]
+    fn strings_decode_multibyte_characters_beside_escapes_and_at_both_ends() {
+        // é is 2 bytes of UTF-8, € is 3 and 𝄞 is 4.
+        for (text, want) in [
+            ("\"é\"", "é"),
+            ("\"€abc𝄞\"", "€abc𝄞"),
+            ("\"é\\n€\\\"𝄞\"", "é\n€\"𝄞"),
+            ("\"\\u00e9é\\t€\"", "éé\t€"),
+            ("\"𝄞\\\\\"", "𝄞\\"),
+            ("\"\\/€\\b\"", "/€\u{8}"),
+            ("\"\"", ""),
+        ] {
+            assert_eq!(json::from_str::<String>(text).unwrap(), want, "{text}");
+        }
+        let key = parse("{\"€é\":\"𝄞\"}").unwrap();
+        assert_eq!(key.get("€é").unwrap().as_str().unwrap(), "𝄞");
+        let s = "𝄞é€\"\\\n\u{1}x€";
+        assert_eq!(json::from_str::<String>(&json::to_string(&s)).unwrap(), s);
+
+        for bad in ["\"é", "\"abc€", "\"𝄞\\n"] {
+            assert_eq!(parse(bad), Err(de::Error::msg("unterminated string")), "{bad:?}");
+        }
+        assert_eq!(parse("\"€\\"), Err(de::Error::msg("unterminated escape")));
+        assert!(parse("\"é\\q\"").is_err());
+    }
+
+    #[test]
+    fn arc_serializes_as_its_pointee() {
+        let shared = std::sync::Arc::new(vec![1u32, 2]);
+        assert_eq!(json::to_string(&shared), json::to_string(&*shared));
+        let back: std::sync::Arc<Vec<u32>> = json::from_str("[1,2]").unwrap();
+        assert_eq!(back, shared);
     }
 
     #[test]

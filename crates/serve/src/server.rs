@@ -60,7 +60,7 @@ use std::time::Duration;
 
 use memnet_bench::shard::{self, Shard, SweepPlan};
 use memnet_bench::{DiskCache, EnsureStats, Matrix, Settings};
-use memnet_core::StopReason;
+use memnet_core::{RunReport, StopReason};
 use serde::{json, Serialize};
 
 use crate::job::{self, CacheNote, ResultPayload};
@@ -507,8 +507,9 @@ fn submit(state: &Arc<State>, client: u64, out: &Arc<ConnOut>, manifest: &json::
     // scheduler lock is still held: a worker cannot pop the new job —
     // and therefore cannot emit its own `started` — until the lock
     // drops, which pins the documented queued→started→… order. Only the
-    // bulky cache-hit result payload is deferred past the lock.
-    let mut deferred: Option<String> = None;
+    // bulky cache-hit result payload is deferred past the lock: it is
+    // built, encoded and sent once the lock is released.
+    let mut deferred: Option<(u64, ResolvedJob, Arc<RunReport>)> = None;
     {
         let mut sched = state.sched.lock().unwrap();
         if state.shutdown.load(Ordering::Relaxed) {
@@ -541,7 +542,7 @@ fn submit(state: &Arc<State>, client: u64, out: &Arc<ConnOut>, manifest: &json::
             if exec.started.load(Ordering::Relaxed) {
                 out.send(&format!("{{\"event\":\"started\",\"job\":{job_id}}}"));
             }
-        } else if let Some(payload) = cached_payload(state, &job) {
+        } else if let Some(report) = cached_report(state, &job) {
             // Persistent-cache hit: answer immediately, zero simulation.
             sched.stats.cache_hits += 1;
             sched.stats.completed += 1;
@@ -550,8 +551,7 @@ fn submit(state: &Arc<State>, client: u64, out: &Arc<ConnOut>, manifest: &json::
                  \"coalesced\":false,\"cached\":true}}",
                 js(&job.fingerprint)
             ));
-            let kind = if payload.exit_code == job::EXIT_PASS { "done" } else { "failed" };
-            deferred = Some(event_result(kind, job_id, &payload));
+            deferred = Some((job_id, job, report));
         } else {
             let exec = Arc::new(JobExec {
                 cancel: Arc::new(AtomicBool::new(false)),
@@ -575,8 +575,16 @@ fn submit(state: &Arc<State>, client: u64, out: &Arc<ConnOut>, manifest: &json::
             state.cv.notify_one();
         }
     }
-    if let Some(line) = deferred {
-        out.send(&line);
+    if let Some((job_id, job, report)) = deferred {
+        let payload = job::finish(
+            &job.fingerprint,
+            &job.manifest.assertions,
+            RunReport::clone(&report),
+            StopReason::Completed,
+            CacheNote { hit: true, source: "disk".to_owned() },
+        );
+        let kind = if payload.exit_code == job::EXIT_PASS { "done" } else { "failed" };
+        out.send(&event_result(kind, job_id, &payload));
     }
 }
 
@@ -663,23 +671,17 @@ fn event_sweep_queued(job_id: u64, run: &SweepRun, coalesced: bool) -> String {
     )
 }
 
-/// Builds a payload from the persistent cache, if the job is eligible
+/// The job's report from the persistent cache, if the job is eligible
 /// and the report is there. Takes the cache lock nested inside the
-/// scheduler lock (the one place that nesting is allowed).
-fn cached_payload(state: &State, job: &ResolvedJob) -> Option<ResultPayload> {
+/// scheduler lock (the one place that nesting is allowed), and holds it
+/// only to share the cached `Arc`: the caller copies the report into a
+/// payload after both locks are released.
+fn cached_report(state: &State, job: &ResolvedJob) -> Option<Arc<RunReport>> {
     if !job.cache_eligible {
         return None;
     }
     let cache = state.cache.as_ref()?.lock().unwrap();
-    let report = cache.get(&job.fingerprint)?.clone();
-    drop(cache);
-    Some(job::finish(
-        &job.fingerprint,
-        &job.manifest.assertions,
-        report,
-        StopReason::Completed,
-        CacheNote { hit: true, source: "disk".to_owned() },
-    ))
+    cache.get_shared(&job.fingerprint).cloned()
 }
 
 /// Handles one `cancel` op. A queued job loses this subscriber (and
@@ -783,14 +785,15 @@ fn run_job(state: &Arc<State>, exec: &Arc<JobExec>) {
         };
     let (report, stop) =
         job::execute(&exec.job, Some(Arc::clone(&exec.cancel)), state.progress_every, progress);
+    let report = Arc::new(report);
 
     // Persist a full, untruncated result for future submissions. The
-    // cache lock is taken alone (never while holding the scheduler).
+    // cache lock is taken alone (never while holding the scheduler), and
+    // the cache keeps this job's `Arc` rather than a copy of the report.
     if stop == StopReason::Completed && exec.job.cache_eligible {
         if let Some(cache) = &state.cache {
-            if let Err(e) =
-                cache.lock().unwrap().store([(exec.job.fingerprint.clone(), report.clone())])
-            {
+            let entry = [(exec.job.fingerprint.clone(), Arc::clone(&report))];
+            if let Err(e) = cache.lock().unwrap().store(entry) {
                 // An unusable cache (read-only directory, full disk) only
                 // costs the next process its warm start — the report is
                 // already in hand and must still be delivered.
@@ -824,8 +827,13 @@ fn run_job(state: &Arc<State>, exec: &Arc<JobExec>) {
         } else {
             CacheNote::simulated()
         };
-        let payload =
-            job::finish(&exec.job.fingerprint, &sub.assertions, report.clone(), stop, cache);
+        let payload = job::finish(
+            &exec.job.fingerprint,
+            &sub.assertions,
+            RunReport::clone(&report),
+            stop,
+            cache,
+        );
         let kind = match stop {
             StopReason::Cancelled => "cancelled",
             _ if payload.exit_code == job::EXIT_PASS => "done",
