@@ -1,20 +1,24 @@
 //! Persistent, versioned on-disk result cache.
 //!
-//! Every figure/table/ablation binary simulates through [`crate::Matrix`],
-//! which consults this cache before sweeping. Cached results live as
+//! The matrix-backed figure binaries and `memnet sweep` simulate through
+//! [`crate::Matrix`], which consults this cache before sweeping; the
+//! `memnet serve` daemon stores and serves its jobs through it too. The
+//! closed-form `tables`/`fig04` binaries and `ablations` (which calls
+//! `run_pair` directly) never touch it. Cached results live as
 //! JSON-lines files (`*.jsonl`) in the cache directory; each line is one
 //! entry:
 //!
 //! ```json
-//! {"v":2,"fp":"v2|eval_ps=...|seed=...|wl=mixD|...","report":{...}}
+//! {"v":10,"fp":"v10|eval_ps=...|seed=...|wl=mixD|...","report":{...}}
 //! ```
 //!
 //! `v` is [`CACHE_SCHEMA_VERSION`]; lines with any other version (or that
 //! fail to parse) are skipped, so stale caches degrade to misses rather
 //! than errors. `fp` is the full configuration fingerprint produced by
-//! [`crate::Key::fingerprint`], which folds in the schema version, the
-//! run-affecting [`crate::Settings`] fields (evaluation period, seed) and
-//! every `Key` field — any change to either invalidates the entry.
+//! [`crate::Key::fingerprint_at`], which folds in the schema version, the
+//! run-affecting [`crate::Settings`] fields (evaluation period and
+//! `obs`), the cell's seed and every `Key` field — any change to any of
+//! them invalidates the entry.
 //!
 //! Each result is held in memory once. The cache keeps every entry as an
 //! `Arc<RunReport>`, and [`crate::Matrix`] holds that same allocation for

@@ -84,9 +84,7 @@ pub const SWEEP_FIGURES: [&str; 15] = [
 
 /// The exact key set the named figure ensures, or `None` for names not
 /// in [`SWEEP_FIGURES`]. This is the enumeration the sweep partitioner
-/// shards, so it must stay in step with what each figure function
-/// ensures — the custom figures share their key builders with it, and
-/// the fp/managed figures are spelled out here.
+/// shards, and each figure function ensures exactly this list.
 pub fn figure_keys(name: &str) -> Option<Vec<Key>> {
     let both = [PolicyKind::NetworkUnaware, PolicyKind::NetworkAware];
     Some(match name {
@@ -125,12 +123,14 @@ pub fn figure_keys(name: &str) -> Option<Vec<Key>> {
     })
 }
 
-/// Ensures registry figure keys, which are simulable by construction —
-/// no replay or calibration identities ever enter [`figure_keys`] — so
-/// the only failure [`Matrix::ensure`] can report here is a bug in the
-/// registry itself.
-fn ensure(matrix: &mut Matrix, keys: &[Key], settings: &Settings) {
-    matrix.ensure(keys, settings).expect("registry figure keys are always simulable");
+/// Ensures the key set of the named registry figure ([`figure_keys`]).
+/// Registry keys are simulable by construction — no replay or
+/// calibration identities ever enter [`figure_keys`] — so the only
+/// failure [`Matrix::ensure`] can report here is a bug in the registry
+/// itself.
+fn ensure(matrix: &mut Matrix, figure: &str, settings: &Settings) {
+    let keys = figure_keys(figure).expect("a registry figure name");
+    matrix.ensure(&keys, settings).expect("registry figure keys are always simulable");
 }
 
 fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
@@ -224,7 +224,7 @@ pub fn fig04() -> String {
 /// Figure 5: average power breakdown of an HMC in a full-power network,
 /// per topology and scale, averaged over all 14 workloads.
 pub fn fig05(matrix: &mut Matrix, settings: &Settings) -> String {
-    ensure(matrix, &fp_keys(), settings);
+    ensure(matrix, "fig05", settings);
     let mut out = String::from(
         "Figure 5: average power per HMC (W), full-power networks\n\
          scale      topology      idleIO activeIO logicLk logicDyn dramLk dramDyn | total\n",
@@ -293,7 +293,7 @@ pub fn fig05(matrix: &mut Matrix, settings: &Settings) -> String {
 
 /// Figure 6: average number of modules traversed per memory access.
 pub fn fig06(matrix: &mut Matrix, settings: &Settings) -> String {
-    ensure(matrix, &fp_keys(), settings);
+    ensure(matrix, "fig06", settings);
     let mut out = String::from("Figure 6: avg modules traversed per access\nworkload");
     for scale in SCALES {
         for topo in TOPOS {
@@ -332,7 +332,7 @@ pub fn fig06(matrix: &mut Matrix, settings: &Settings) -> String {
 /// Figure 8: idle I/O power normalized to total network power, per
 /// workload, topology and scale (full-power networks).
 pub fn fig08(matrix: &mut Matrix, settings: &Settings) -> String {
-    ensure(matrix, &fp_keys(), settings);
+    ensure(matrix, "fig08", settings);
     let mut out =
         String::from("Figure 8: idle I/O power / total network power (%), full power\nworkload");
     for scale in SCALES {
@@ -369,7 +369,7 @@ pub fn fig08(matrix: &mut Matrix, settings: &Settings) -> String {
 
 /// Figure 9: average channel and link utilization per workload.
 pub fn fig09(matrix: &mut Matrix, settings: &Settings) -> String {
-    ensure(matrix, &fp_keys(), settings);
+    ensure(matrix, "fig09", settings);
     let mut out = String::from(
         "Figure 9: channel and average link utilization (%), full power\n\
          workload\tchan:small\tlink:small\tchan:big\tlink:big\n",
@@ -413,8 +413,7 @@ pub fn fig09(matrix: &mut Matrix, settings: &Settings) -> String {
 /// Figure 11: per-HMC power under network-unaware management (FP,
 /// VWL/ROO/VWL+ROO at α = 2.5 % and 5 %), averaged over workloads.
 pub fn fig11(matrix: &mut Matrix, settings: &Settings) -> String {
-    ensure(matrix, &fp_keys(), settings);
-    ensure(matrix, &managed_keys(PolicyKind::NetworkUnaware, &MAIN_MECHS, &ALPHAS), settings);
+    ensure(matrix, "fig11", settings);
     let mut out = String::from(
         "Figure 11: avg power per HMC (W) under network-unaware management\n\
          scale      topology        FP  2.5%VWL  5%VWL  2.5%ROO  5%ROO  2.5%V+R  5%V+R\n",
@@ -482,8 +481,7 @@ pub fn fig11(matrix: &mut Matrix, settings: &Settings) -> String {
 /// Figure 12: average and maximum performance degradation of
 /// network-unaware management vs. full power.
 pub fn fig12(matrix: &mut Matrix, settings: &Settings) -> String {
-    ensure(matrix, &fp_keys(), settings);
-    ensure(matrix, &managed_keys(PolicyKind::NetworkUnaware, &MAIN_MECHS, &ALPHAS), settings);
+    ensure(matrix, "fig12", settings);
     let mut out = String::from(
         "Figure 12: performance degradation vs full power, network-unaware (%)\n\
          scale      mech      alpha   daisychain  ternary  star  DDRx-like |  avg   max\n",
@@ -531,10 +529,8 @@ pub fn fig12(matrix: &mut Matrix, settings: &Settings) -> String {
 /// Figure 13: distribution of link hours across VWL modes by link
 /// utilization bucket (big networks, VWL, α = 5 %): unaware vs aware.
 pub fn fig13(matrix: &mut Matrix, settings: &Settings) -> String {
+    ensure(matrix, "fig13", settings);
     let policies = [PolicyKind::NetworkUnaware, PolicyKind::NetworkAware];
-    for p in policies {
-        ensure(matrix, &managed_keys(p, &[Mechanism::Vwl], &[0.05]), settings);
-    }
     let buckets = [0.01, 0.05, 0.10, 0.20, 1.01];
     let bucket_labels = ["0-1%", "1-5%", "5-10%", "10-20%", "20-100%"];
     let lane_labels = ["16 lanes", "8 lanes", "4 lanes", "1 lane"];
@@ -590,9 +586,7 @@ pub fn fig13(matrix: &mut Matrix, settings: &Settings) -> String {
 /// Figure 15: network-wide power reduction of network-aware vs.
 /// network-unaware management.
 pub fn fig15(matrix: &mut Matrix, settings: &Settings) -> String {
-    for p in [PolicyKind::NetworkUnaware, PolicyKind::NetworkAware] {
-        ensure(matrix, &managed_keys(p, &MAIN_MECHS, &ALPHAS), settings);
-    }
+    ensure(matrix, "fig15", settings);
     let mut out = String::from(
         "Figure 15: power reduction of network-aware vs network-unaware (%)\n\
          scale      mech      alpha   daisychain  ternary  star  DDRx-like |  avg\n",
@@ -655,10 +649,7 @@ pub fn fig15(matrix: &mut Matrix, settings: &Settings) -> String {
 /// Figure 16: network-wide power reduction vs. full power per workload
 /// (big networks, α = 5 %).
 pub fn fig16(matrix: &mut Matrix, settings: &Settings) -> String {
-    ensure(matrix, &fp_keys(), settings);
-    for p in [PolicyKind::NetworkUnaware, PolicyKind::NetworkAware] {
-        ensure(matrix, &managed_keys(p, &MAIN_MECHS, &[0.05]), settings);
-    }
+    ensure(matrix, "fig16", settings);
     let mut out = String::from(
         "Figure 16: power reduction vs full power by workload (big, alpha=5%), avg over topologies (%)\n\
          workload  VWL:unaware ROO:unaware V+R:unaware  VWL:aware ROO:aware V+R:aware\n",
@@ -691,10 +682,7 @@ pub fn fig16(matrix: &mut Matrix, settings: &Settings) -> String {
 /// Figure 17: (left) average performance overhead of aware vs. unaware;
 /// (right) maximum performance overhead of aware vs. full power.
 pub fn fig17(matrix: &mut Matrix, settings: &Settings) -> String {
-    ensure(matrix, &fp_keys(), settings);
-    for p in [PolicyKind::NetworkUnaware, PolicyKind::NetworkAware] {
-        ensure(matrix, &managed_keys(p, &MAIN_MECHS, &ALPHAS), settings);
-    }
+    ensure(matrix, "fig17", settings);
     let mut out = String::from(
         "Figure 17 (left): avg perf degradation, aware vs unaware (%)\n\
          scale      mech      alpha  |  avg over topologies+workloads\n",
@@ -761,9 +749,8 @@ fn fig18_keys() -> Vec<Key> {
 /// Figure 18: power reduction and performance overhead vs. full power for
 /// DVFS links and 20 ns-wakeup ROO links (α = 5 %).
 pub fn fig18(matrix: &mut Matrix, settings: &Settings) -> String {
-    ensure(matrix, &fp_keys(), settings);
+    ensure(matrix, "fig18", settings);
     let mechs = [Mechanism::Dvfs, Mechanism::Roo, Mechanism::DvfsRoo];
-    ensure(matrix, &fig18_keys(), settings);
     let mut out = String::from(
         "Figure 18: sensitivity — DVFS links and 20 ns ROO (alpha=5%)\n\
          scale      mech       policy    power reduction vs FP (%)  perf degradation vs FP (%)\n",
@@ -847,7 +834,7 @@ fn sec7a_keys() -> Vec<Key> {
 /// §VII-A: static fat/tapered bandwidth selection (with page-interleaved
 /// mapping) vs. network-aware management at α = 30 % (big networks, VWL).
 pub fn sec7a(matrix: &mut Matrix, settings: &Settings) -> String {
-    ensure(matrix, &sec7a_keys(), settings);
+    ensure(matrix, "sec7a", settings);
     let mut stat_degr = Vec::new();
     let mut stat_power = Vec::new();
     let mut aware_degr = Vec::new();
@@ -952,7 +939,7 @@ pub fn faults_sweep(matrix: &mut Matrix, settings: &Settings) -> String {
         ("aware ROO", PolicyKind::NetworkAware, Mechanism::Roo),
     ];
     let workload = "mixD";
-    ensure(matrix, &faults_sweep_keys(), settings);
+    ensure(matrix, "faults", settings);
     let mut out = String::from(
         "Fault sweep: link-level retry cost vs per-flit error rate (mixD, small networks)\n\
          case       topology      error-rate   W/HMC  acc/us  retries  re-flits  retrans(uJ)\n",
@@ -1013,7 +1000,7 @@ pub fn stress(matrix: &mut Matrix, settings: &Settings) -> String {
         ("unaware V+R", PolicyKind::NetworkUnaware, Mechanism::VwlRoo),
         ("aware V+R", PolicyKind::NetworkAware, Mechanism::VwlRoo),
     ];
-    ensure(matrix, &stress_keys(), settings);
+    ensure(matrix, "stress", settings);
     let mut out = String::from(
         "Adversarial stress suite (ternary tree, small networks, alpha = 5%)\n\
          workload       case          W/HMC  acc/us  read lat(ns)  violations\n",
@@ -1069,7 +1056,7 @@ pub fn model_diff(matrix: &mut Matrix, settings: &Settings) -> String {
     use memnet_power::{EnergyBackendKind, HmcPowerModel, IddModel};
     const THRESHOLD: f64 = 0.05;
     let cases = MODEL_DIFF_CASES;
-    ensure(matrix, &model_diff_keys(), settings);
+    ensure(matrix, "model_diff", settings);
     let analytical = HmcPowerModel::paper();
     let idd = IddModel::hmc_gen2();
     let mut out = String::from(

@@ -59,7 +59,8 @@ impl Settings {
     /// evaluation period, all cores, a fixed seed, and a result cache in
     /// [`DEFAULT_CACHE_DIR`]:
     ///
-    /// * `MEMNET_EVAL_US` — simulated microseconds per run.
+    /// * `MEMNET_EVAL_US` — simulated microseconds per run (`0` is
+    ///   rejected with a warning and falls back to 1 ms).
     /// * `MEMNET_THREADS` — sweep worker threads (`0` is rejected with a
     ///   warning and falls back to all cores).
     /// * `MEMNET_SEED` — base RNG seed.
@@ -73,7 +74,17 @@ impl Settings {
     /// knob: they default to `0/1` and off, and are set by the `memnet
     /// sweep --shard/--obs` flags (or the serve sweep manifest).
     pub fn from_env() -> Self {
-        let eval_us = env_parse::<u64>("MEMNET_EVAL_US").unwrap_or(1_000);
+        let eval_us = match env_parse::<u64>("MEMNET_EVAL_US") {
+            Some(0) => {
+                memnet_simcore::memnet_warn!(
+                    "[settings] MEMNET_EVAL_US=0 is invalid (a run needs a nonzero \
+                     window); using the 1000 us default"
+                );
+                None
+            }
+            other => other,
+        }
+        .unwrap_or(1_000);
         let threads = match env_parse::<usize>("MEMNET_THREADS") {
             Some(0) => {
                 memnet_simcore::memnet_warn!(
@@ -128,7 +139,7 @@ impl Settings {
             }
         };
         Settings {
-            eval_period: SimDuration::from_us(eval_us.max(1)),
+            eval_period: SimDuration::from_us(eval_us),
             threads: threads.max(1),
             seed,
             seeds,
@@ -238,11 +249,15 @@ mod tests {
         assert_eq!(s.seed_list(), vec![42, 43, 44]);
         assert_eq!(s.cache_dir.as_deref(), Some(std::path::Path::new("/tmp/memnet-test-cache")));
 
-        // MEMNET_THREADS=0 parses but is meaningless: it must warn and
-        // fall back to the all-cores default, never produce 0 workers.
+        // MEMNET_THREADS=0 and MEMNET_EVAL_US=0 parse but are
+        // meaningless: each must warn and fall back to its default, never
+        // produce 0 workers or a 1 us window.
         std::env::set_var("MEMNET_THREADS", "0");
+        std::env::set_var("MEMNET_EVAL_US", "0");
         let auto = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        assert_eq!(Settings::from_env().threads, auto);
+        let s = Settings::from_env();
+        assert_eq!(s.threads, auto);
+        assert_eq!(s.eval_period, SimDuration::from_us(1_000));
 
         // Malformed values warn (to stderr) and fall back to defaults.
         std::env::set_var("MEMNET_EVAL_US", "a lot");

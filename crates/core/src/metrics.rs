@@ -145,8 +145,8 @@ pub struct RunReport {
     /// AMS violations (forced full-power transitions).
     pub violations: u64,
     /// Discrete events the engine processed (simulator-throughput
-    /// denominator for the perf harness; identical across runs with the
-    /// same configuration by determinism).
+    /// denominator for the benchmark's per-event costs; identical across
+    /// runs with the same configuration by determinism).
     pub events_processed: u64,
     /// Runtime invariant-audit results (empty at `AuditLevel::Off`).
     pub audit: AuditReport,
