@@ -12,18 +12,22 @@
 //! {"v":10,"fp":"v10|eval_ps=...|seed=...|wl=mixD|...","report":{...}}
 //! ```
 //!
-//! `v` is [`CACHE_SCHEMA_VERSION`]; lines with any other version (or that
-//! fail to parse) are skipped, so stale caches degrade to misses rather
-//! than errors. `fp` is the full configuration fingerprint produced by
-//! [`crate::Key::fingerprint_at`], which folds in the schema version, the
-//! run-affecting [`crate::Settings`] fields (evaluation period and
-//! `obs`), the cell's seed and every `Key` field — any change to any of
-//! them invalidates the entry.
+//! `v` is [`CACHE_SCHEMA_VERSION`]; lines with any other version (or
+//! without that header) are skipped, so stale caches degrade to misses
+//! rather than errors. `fp` is the full configuration fingerprint
+//! produced by [`crate::Key::fingerprint_at`], which folds in the schema
+//! version, the run-affecting [`crate::Settings`] fields (evaluation
+//! period and `obs`), the cell's seed and every `Key` field — any change
+//! to any of them invalidates the entry.
 //!
-//! Each result is held in memory once. The cache keeps every entry as an
-//! `Arc<RunReport>`, and [`crate::Matrix`] holds that same allocation for
-//! results it loads from here or simulates and stores here, so a sweep
-//! costs one report per cell, not one per holder.
+//! A [`DiskCache`] is an index, not a store of reports. [`DiskCache::open`]
+//! reads each file line by line and records where each fingerprint's line
+//! lives (file, byte offset, length) from the line's `v`/`fp` header
+//! alone; it decodes no report. [`DiskCache::get`] reads and decodes the
+//! one line asked for and hands the caller the only copy, so a process
+//! holds just the results it uses, for as long as it uses them. A line
+//! whose report no longer decodes is a miss: `get` warns and drops it
+//! from the index.
 //!
 //! Writes are atomic and collision-free under concurrent figure binaries:
 //! each [`DiskCache::store`] call writes a fresh uniquely named temp file
@@ -33,7 +37,8 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::Write;
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -63,8 +68,8 @@ use serde::{json, Deserialize, Serialize};
 /// re-simulates once under the new engine.
 pub const CACHE_SCHEMA_VERSION: u32 = 10;
 
-/// One cache line on disk.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One cache line as [`DiskCache::store`] writes it.
+#[derive(Debug, Serialize)]
 struct Entry {
     /// Schema version, [`CACHE_SCHEMA_VERSION`] at write time.
     v: u32,
@@ -75,11 +80,117 @@ struct Entry {
     report: Arc<RunReport>,
 }
 
-/// An open cache directory with all valid entries loaded.
+/// The `v`/`fp` header of one cache line, read without decoding the
+/// report that follows it.
+#[derive(Debug, PartialEq)]
+struct Header {
+    /// The line's fingerprint.
+    fp: String,
+    /// Byte range of the `report` value within the line.
+    report: Range<usize>,
+}
+
+/// Reads a line's header: `Some` only for a current-schema line laid out
+/// as [`DiskCache::store`] writes it, `{"v":…,"fp":"…","report":…}` with
+/// no whitespace between the tokens. The report is not parsed; its range
+/// is everything between `"report":` and the line's closing brace.
+fn read_header(line: &[u8]) -> Option<Header> {
+    let rest = line.strip_prefix(b"{\"v\":")?;
+    let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+    let v: u32 = std::str::from_utf8(&rest[..digits]).ok()?.parse().ok()?;
+    if v != CACHE_SCHEMA_VERSION {
+        return None;
+    }
+    let rest = rest[digits..].strip_prefix(b",\"fp\":")?;
+    let quoted = json_string_len(rest)?;
+    let fp = match json::parse(std::str::from_utf8(&rest[..quoted]).ok()?).ok()? {
+        json::Value::Str(fp) => fp,
+        _ => return None,
+    };
+    let rest = rest[quoted..].strip_prefix(b",\"report\":")?;
+    let start = line.len() - rest.len();
+    let end = line.len() - 1;
+    (start < end && line[end] == b'}').then_some(Header { fp, report: start..end })
+}
+
+/// Length of the JSON string token (quotes included) that `bytes` starts
+/// with, found without unescaping it.
+fn json_string_len(bytes: &[u8]) -> Option<usize> {
+    if bytes.first() != Some(&b'"') {
+        return None;
+    }
+    let mut i = 1;
+    while let Some(&b) = bytes.get(i) {
+        match b {
+            b'"' => return Some(i + 1),
+            b'\\' => i += 2,
+            _ => i += 1,
+        }
+    }
+    None
+}
+
+/// Where one indexed result lives.
+#[derive(Debug, Clone)]
+enum Slot {
+    /// One line of a cache file, newline excluded.
+    Line { file: Arc<Path>, offset: u64, len: usize },
+    /// A result [`DiskCache::store`] could not write, kept so later gets
+    /// still hit.
+    Held(Arc<RunReport>),
+}
+
+/// One indexed result, detached from its [`DiskCache`]: reading it needs
+/// no borrow of the cache, so a caller sharing the cache behind a lock
+/// can look a result up under the lock and read it outside.
+#[derive(Debug)]
+pub struct Location {
+    fp: String,
+    slot: Slot,
+}
+
+impl Location {
+    /// Reads and decodes the result. `None` when its line can no longer
+    /// be read, decoded, or no longer carries this fingerprint; that
+    /// warns, and the caller should [`DiskCache::forget`] the location.
+    pub fn read(&self) -> Option<Arc<RunReport>> {
+        let (file, offset, len) = match &self.slot {
+            Slot::Held(report) => return Some(Arc::clone(report)),
+            Slot::Line { file, offset, len } => (file, *offset, *len),
+        };
+        match read_line_report(file, offset, len, &self.fp) {
+            Ok(report) => Some(Arc::new(report)),
+            Err(e) => {
+                memnet_simcore::memnet_warn!(
+                    "[cache] dropping unreadable entry at {}:{offset} ({e}): {}",
+                    file.display(),
+                    self.fp
+                );
+                None
+            }
+        }
+    }
+}
+
+/// Reads the `len`-byte line at `offset` in `file` and decodes its
+/// report, checking that the line still carries fingerprint `fp`.
+fn read_line_report(file: &Path, offset: u64, len: usize, fp: &str) -> Result<RunReport, String> {
+    let mut line = vec![0; len];
+    let mut f = fs::File::open(file).map_err(|e| e.to_string())?;
+    f.seek(SeekFrom::Start(offset))
+        .and_then(|_| f.read_exact(&mut line))
+        .map_err(|e| e.to_string())?;
+    let header = read_header(&line).filter(|h| h.fp == fp).ok_or("the line changed")?;
+    let text = std::str::from_utf8(&line[header.report]).map_err(|e| e.to_string())?;
+    json::parse(text).and_then(|v| RunReport::deserialize(&v)).map_err(|e| e.0)
+}
+
+/// An open cache directory: an index of every current-schema entry in
+/// its `*.jsonl` files.
 #[derive(Debug)]
 pub struct DiskCache {
     dir: PathBuf,
-    entries: HashMap<String, Arc<RunReport>>,
+    index: HashMap<String, Slot>,
 }
 
 /// Per-process counter making store filenames unique even when two stores
@@ -87,38 +198,24 @@ pub struct DiskCache {
 static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl DiskCache {
-    /// Opens (creating if needed) the cache directory and loads every
-    /// current-schema entry from its `*.jsonl` files.
+    /// Opens (creating if needed) the cache directory and indexes every
+    /// current-schema line of its `*.jsonl` files by fingerprint. Reads
+    /// each line's header only; no report is decoded.
     pub fn open(dir: &Path) -> std::io::Result<DiskCache> {
         fs::create_dir_all(dir)?;
-        let mut entries = HashMap::new();
+        let mut index = HashMap::new();
         let mut skipped = 0usize;
         let mut names: Vec<PathBuf> = fs::read_dir(dir)?
             .filter_map(|e| e.ok())
             .map(|e| e.path())
             .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
             .collect();
-        // Deterministic precedence: later files win on fingerprint ties.
+        // Deterministic precedence: later files (and later lines) win on
+        // fingerprint ties.
         names.sort();
         for path in names {
-            let text = match fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(_) => {
-                    skipped += 1;
-                    continue;
-                }
-            };
-            for line in text.lines() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match json::parse(line).and_then(|v| Entry::deserialize(&v)) {
-                    Ok(e) if e.v == CACHE_SCHEMA_VERSION => {
-                        entries.insert(e.fp, e.report);
-                    }
-                    _ => skipped += 1,
-                }
-            }
+            let file: Arc<Path> = path.into();
+            skipped += index_file(&file, &mut index).unwrap_or(1);
         }
         if skipped > 0 {
             memnet_simcore::memnet_warn!(
@@ -126,7 +223,7 @@ impl DiskCache {
                 dir.display()
             );
         }
-        Ok(DiskCache { dir: dir.to_path_buf(), entries })
+        Ok(DiskCache { dir: dir.to_path_buf(), index })
     }
 
     /// The directory this cache was opened on.
@@ -134,38 +231,59 @@ impl DiskCache {
         &self.dir
     }
 
-    /// Number of loaded entries.
+    /// Number of indexed entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
-    /// True if the cache holds no entries.
+    /// True if the cache indexes no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
-    /// Looks up a result by fingerprint.
-    pub fn get(&self, fp: &str) -> Option<&RunReport> {
-        self.get_shared(fp).map(|r| &**r)
+    /// Where the result for `fp` lives, if indexed. Touches no file.
+    pub fn locate(&self, fp: &str) -> Option<Location> {
+        let slot = self.index.get(fp)?.clone();
+        Some(Location { fp: fp.to_owned(), slot })
     }
 
-    /// [`Self::get`] as the shared allocation itself, for holders that
-    /// keep the result beyond this borrow: cloning the `Arc` shares the
-    /// one report instead of copying it.
-    pub fn get_shared(&self, fp: &str) -> Option<&Arc<RunReport>> {
-        self.entries.get(fp)
+    /// Drops a location whose [`Location::read`] failed from the index,
+    /// unless the entry has since been stored afresh. (Only lines can
+    /// fail to read.)
+    pub fn forget(&mut self, at: &Location) {
+        if let (
+            Some(Slot::Line { file, offset, .. }),
+            Slot::Line { file: gone, offset: gone_at, .. },
+        ) = (self.index.get(&at.fp), &at.slot)
+        {
+            if Arc::ptr_eq(file, gone) && offset == gone_at {
+                self.index.remove(&at.fp);
+            }
+        }
+    }
+
+    /// Looks up a result by fingerprint, reading and decoding its line.
+    /// The caller gets the only copy; the cache keeps none. A line that
+    /// fails to decode is a miss, warned about once and dropped from the
+    /// index.
+    pub fn get(&mut self, fp: &str) -> Option<Arc<RunReport>> {
+        let at = self.locate(fp)?;
+        let report = at.read();
+        if report.is_none() {
+            self.forget(&at);
+        }
+        report
     }
 
     /// Persists freshly simulated results, returning the file written
-    /// (`None` when `fresh` is empty).
+    /// (`None` when `fresh` is empty), and indexes the new lines.
     ///
     /// Each report may come owned (`RunReport`) or shared
-    /// (`Arc<RunReport>`); either way the file bytes are the same. A
-    /// shared report is kept by reference, so a caller that holds the
-    /// same `Arc` and the cache share one copy of it.
+    /// (`Arc<RunReport>`); either way the file bytes are the same, and
+    /// once written the cache holds no reference to the report.
     ///
-    /// The entries are retained in memory so subsequent `get`s hit even
-    /// when the disk write fails — a full or read-only cache directory
+    /// When the disk write fails the batch is kept in memory instead, so
+    /// subsequent `get`s still hit — a full or read-only cache directory
     /// must never cost the caller its freshly simulated reports, only
     /// the persistence. On failure the temp file is cleaned up and the
     /// error returned for the caller to log; nothing is lost but the
@@ -182,20 +300,35 @@ impl DiskCache {
         let mut batch = Vec::new();
         for (fp, report) in fresh {
             let entry = Entry { v: CACHE_SCHEMA_VERSION, fp, report: report.into() };
+            let start = body.len();
             body.push_str(&json::to_string(&entry));
+            batch.push((entry.fp, entry.report, start..body.len()));
             body.push('\n');
-            batch.push((entry.fp, entry.report));
         }
         if batch.is_empty() {
             return Ok(None);
         }
-        let result = self.write_batch(&body);
-        // Memory retention is unconditional: the reports exist whether or
-        // not the disk accepted them.
-        for (fp, report) in batch {
-            self.entries.insert(fp, report);
+        match self.write_batch(&body) {
+            Ok(dest) => {
+                let file: Arc<Path> = dest.as_path().into();
+                for (fp, _, line) in batch {
+                    let slot = Slot::Line {
+                        file: Arc::clone(&file),
+                        offset: line.start as u64,
+                        len: line.len(),
+                    };
+                    self.index.insert(fp, slot);
+                }
+                Ok(Some(dest))
+            }
+            Err(e) => {
+                // The reports exist whether or not the disk accepted them.
+                for (fp, report, _) in batch {
+                    self.index.insert(fp, Slot::Held(report));
+                }
+                Err(e)
+            }
         }
-        result.map(Some)
     }
 
     /// The disk half of [`Self::store`]: writes `body` to a unique temp
@@ -226,6 +359,37 @@ impl DiskCache {
             return Err(e);
         }
         Ok(dest)
+    }
+}
+
+/// Indexes one cache file's lines into `index`, returning how many
+/// non-blank lines it skipped for lacking a current-schema header.
+fn index_file(file: &Arc<Path>, index: &mut HashMap<String, Slot>) -> std::io::Result<usize> {
+    let mut reader = BufReader::with_capacity(1 << 16, fs::File::open(file)?);
+    let mut line = Vec::new();
+    let (mut offset, mut skipped) = (0u64, 0usize);
+    loop {
+        line.clear();
+        let n = reader.read_until(b'\n', &mut line)?;
+        if n == 0 {
+            return Ok(skipped);
+        }
+        let lead = line.len() - line.trim_ascii_start().len();
+        let text = line[lead..].trim_ascii_end();
+        if !text.is_empty() {
+            match read_header(text) {
+                Some(header) => {
+                    let slot = Slot::Line {
+                        file: Arc::clone(file),
+                        offset: offset + lead as u64,
+                        len: text.len(),
+                    };
+                    index.insert(header.fp, slot);
+                }
+                None => skipped += 1,
+            }
+        }
+        offset += n as u64;
     }
 }
 
@@ -283,11 +447,14 @@ mod tests {
         assert!(written.exists());
         assert_eq!(cache.len(), 1);
 
-        let reopened = DiskCache::open(&dir).unwrap();
+        let mut reopened = DiskCache::open(&dir).unwrap();
         assert_eq!(reopened.len(), 1);
         let cached = reopened.get("fp-a").expect("entry survives reopen");
-        assert_eq!(json::to_string(cached), json::to_string(&report));
+        assert_eq!(json::to_string(&cached), json::to_string(&report));
         assert!(reopened.get("fp-b").is_none());
+        // The storing handle indexed its own line: it serves it too.
+        let own = cache.get("fp-a").expect("the stored line is indexed");
+        assert_eq!(json::to_string(&own), json::to_string(&report));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -313,9 +480,12 @@ mod tests {
 
         assert_eq!(fs::read_to_string(&owned_file).unwrap(), line);
         assert_eq!(fs::read_to_string(&shared_file).unwrap(), line);
-        // The cache keeps the caller's allocation, not a copy of it.
-        assert!(std::ptr::eq(cache.get("fp-a").unwrap(), &*shared));
-        assert_eq!(Arc::strong_count(&shared), 2);
+        // The cache keeps no reference to a stored report: the caller's
+        // allocation is the only copy, and a get decodes a fresh one.
+        assert_eq!(Arc::strong_count(&shared), 1);
+        let decoded = cache.get("fp-a").unwrap();
+        assert!(!Arc::ptr_eq(&decoded, &shared));
+        assert_eq!(json::to_string(&decoded), json::to_string(&shared));
         let _ = fs::remove_dir_all(&owned_dir);
         let _ = fs::remove_dir_all(&shared_dir);
     }
@@ -337,7 +507,7 @@ mod tests {
         // The freshly simulated result survives in memory: persistence
         // failure only costs the next process its warm start.
         let kept = cache.get("fp-a").expect("failed store keeps the result in memory");
-        assert_eq!(json::to_string(kept), json::to_string(&report));
+        assert_eq!(json::to_string(&kept), json::to_string(&report));
 
         // A later successful store proceeds normally once the path is a
         // directory again, and no temp-file litter was left behind.
@@ -375,6 +545,147 @@ mod tests {
         let reopened = DiskCache::open(&dir).unwrap();
         assert!(reopened.is_empty(), "future-version entries must not load");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_decodes_no_report_and_get_drops_what_does_not_decode() {
+        let dir = unique_dir("corrupt-bodies");
+        fs::create_dir_all(&dir).unwrap();
+        let good = json::to_string(&tiny_report());
+        // Valid current-schema headers over report bodies that cannot
+        // decode: a wrong shape, broken JSON, a truncated report.
+        let bodies = ["{\"not\":\"a report\"}", "[1,2}", &good[..good.len() / 2]];
+        let text: String = bodies
+            .iter()
+            .enumerate()
+            .map(|(i, body)| {
+                format!("{{\"v\":{CACHE_SCHEMA_VERSION},\"fp\":\"fp-{i}\",\"report\":{body}}}\n")
+            })
+            .collect();
+        fs::write(dir.join("results-corrupt.jsonl"), text).unwrap();
+
+        let mut cache = DiskCache::open(&dir).unwrap();
+        assert_eq!(cache.len(), bodies.len(), "open indexes every line without decoding it");
+        for i in 0..bodies.len() {
+            let fp = format!("fp-{i}");
+            assert!(cache.locate(&fp).is_some());
+            assert!(cache.get(&fp).is_none(), "an undecodable body is a miss");
+            assert!(cache.locate(&fp).is_none(), "and leaves the index");
+        }
+        assert!(cache.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_line_changed_after_open_is_a_miss() {
+        let dir = unique_dir("changed");
+        let mut cache = DiskCache::open(&dir).unwrap();
+        let file = cache.store([("fp-a".to_owned(), tiny_report())]).unwrap().unwrap();
+        let at = cache.locate("fp-a").unwrap();
+        // Same length, another fingerprint: the offsets still land on a
+        // well-formed line, which must not be served as `fp-a`.
+        let text = fs::read_to_string(&file).unwrap();
+        fs::write(&file, text.replace("\"fp\":\"fp-a\"", "\"fp\":\"fp-b\"")).unwrap();
+        assert!(at.read().is_none());
+        // A store between the failed read and its `forget` (another
+        // thread simulating the same cell) survives the forget.
+        cache.store([("fp-a".to_owned(), tiny_report())]).unwrap();
+        cache.forget(&at);
+        assert!(cache.get("fp-a").is_some(), "the fresh entry stays indexed");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// One line exactly as [`DiskCache::store`] writes it.
+    fn real_line() -> &'static str {
+        static LINE: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+        LINE.get_or_init(|| {
+            let fp = Key::main(
+                "mixD",
+                TopologyKind::DaisyChain,
+                NetworkScale::Small,
+                PolicyKind::FullPower,
+                Mechanism::FullPower,
+                0.05,
+            )
+            .fingerprint(&Settings::default());
+            json::to_string(&Entry { v: CACHE_SCHEMA_VERSION, fp, report: tiny_report().into() })
+        })
+    }
+
+    /// The header oracle: the line up to its report, closed with a null
+    /// report, must parse as JSON declaring the current schema and `fp`.
+    fn header_is_current(line: &[u8], header: &Header) -> bool {
+        let head = String::from_utf8_lossy(&line[..header.report.start]);
+        json::parse(&format!("{head}null}}")).is_ok_and(|v| {
+            v.get("v").and_then(|v| v.num::<u32>()) == Ok(CACHE_SCHEMA_VERSION)
+                && v.get("fp").and_then(|fp| fp.as_str().map(str::to_owned))
+                    == Ok(header.fp.clone())
+        })
+    }
+
+    #[test]
+    fn header_reader_indexes_real_lines_only_at_the_current_schema() {
+        let line = real_line();
+        let header = read_header(line.as_bytes()).expect("a stored line has a header");
+        assert!(header.fp.starts_with(&format!("v{CACHE_SCHEMA_VERSION}|")));
+        let body = &line[header.report.clone()];
+        let report = RunReport::deserialize(&json::parse(body).unwrap()).unwrap();
+        assert_eq!(json::to_string(&report), body, "the range is exactly the report");
+        for v in [0, CACHE_SCHEMA_VERSION - 1, CACHE_SCHEMA_VERSION + 1, 999] {
+            let other =
+                line.replacen(&format!("\"v\":{CACHE_SCHEMA_VERSION},"), &format!("\"v\":{v},"), 1);
+            assert_eq!(read_header(other.as_bytes()), None, "v={v}");
+        }
+        for bad in
+            ["", "{}", "{\"v\":10}", "{\"v\":10,\"fp\":\"x\",\"report\":}", "{\"v\":10,\"fp\":\"x"]
+        {
+            assert_eq!(read_header(bad.as_bytes()), None, "{bad:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn header_reader_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..96),
+            prefixed in proptest::any::<bool>(),
+        ) {
+            // Half the cases start like a real line, to get past the
+            // first token.
+            let mut line = if prefixed { b"{\"v\":10,\"fp\":\"".to_vec() } else { Vec::new() };
+            line.extend(bytes);
+            if let Some(header) = read_header(&line) {
+                proptest::prop_assert!(header.report.end < line.len());
+                proptest::prop_assert!(header_is_current(&line, &header), "{line:?}");
+            }
+        }
+
+        #[test]
+        fn header_reader_never_panics_on_mutated_real_lines(
+            edits in proptest::collection::vec(
+                (proptest::any::<u64>(), proptest::any::<u8>(), 0u8..3),
+                1..4,
+            ),
+        ) {
+            let mut line = real_line().as_bytes().to_vec();
+            for (at, byte, op) in edits {
+                // Bias edits towards the header, where the reader looks.
+                let at = (at as usize) % if at % 2 == 0 { 200.min(line.len() + 1) } else { line.len() + 1 };
+                match op {
+                    0 if at < line.len() => line[at] = byte,
+                    1 => line.insert(at.min(line.len()), byte),
+                    _ if at < line.len() => {
+                        line.remove(at);
+                    }
+                    _ => line.truncate(at),
+                }
+            }
+            if let Some(header) = read_header(&line) {
+                proptest::prop_assert!(header.report.end < line.len());
+                proptest::prop_assert!(header_is_current(&line, &header), "{:?}", String::from_utf8_lossy(&line));
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod matrix;
 pub mod settings;
 pub mod shard;
 
-pub use cache::{DiskCache, CACHE_SCHEMA_VERSION};
+pub use cache::{DiskCache, Location, CACHE_SCHEMA_VERSION};
 pub use matrix::{EnsureStats, Key, Matrix};
 pub use settings::{parse_seed_list, Settings};
 pub use shard::{Shard, SweepPlan};

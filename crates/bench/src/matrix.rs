@@ -2,6 +2,7 @@
 //! configuration, filled by parallel sweeps.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use memnet_core::{AddressMapping, NetworkScale, PolicyKind, RunReport, SimConfig};
@@ -11,7 +12,7 @@ use memnet_obs::ObsConfig;
 use memnet_policy::Mechanism;
 use memnet_power::EnergyBackendKind;
 
-use crate::cache::{DiskCache, CACHE_SCHEMA_VERSION};
+use crate::cache::{DiskCache, Location, CACHE_SCHEMA_VERSION};
 use crate::settings::Settings;
 
 /// A hashable identity for one simulation configuration.
@@ -231,12 +232,39 @@ pub struct EnsureStats {
     pub simulated: usize,
 }
 
+/// Reads and decodes every located cache entry on up to `threads` threads
+/// (the caller's among them), returning the reports in input order:
+/// `None` where nothing was located or the line no longer reads.
+fn read_located(found: &[Option<Location>], threads: usize) -> Vec<Option<Arc<RunReport>>> {
+    let next = AtomicUsize::new(0);
+    let drain = || {
+        let mut read = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(at) = found.get(i) else { return read };
+            read.push((i, at.as_ref().and_then(Location::read)));
+        }
+    };
+    let mut reports = vec![None; found.len()];
+    let located = found.iter().flatten().count();
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads.min(located)).map(|_| scope.spawn(drain)).collect();
+        let mine = drain();
+        let theirs = helpers.into_iter().flat_map(|h| h.join().expect("cache reads never panic"));
+        for (i, report) in mine.into_iter().chain(theirs) {
+            reports[i] = report;
+        }
+    });
+    reports
+}
+
 /// Memoized experiment results, backed by the persistent on-disk cache
 /// when [`Settings::cache_dir`] is set.
 ///
-/// Each cell's report is one shared allocation: the base-seed view, the
-/// seeded map and the disk cache's in-memory entry all hold the same
-/// `Arc`, whether the report was simulated here or loaded from disk.
+/// Each cell's report is one allocation, and the matrix is its only
+/// holder: the base-seed view and the seeded map share the same `Arc`,
+/// whether the report was simulated here or decoded from the disk cache,
+/// which keeps an index of where results live rather than the results.
 #[derive(Debug, Default)]
 pub struct Matrix {
     /// Base-seed results, the view every figure reads via [`Matrix::get`].
@@ -325,14 +353,24 @@ impl Matrix {
             return Ok(stats);
         }
 
-        // Second chance: the persistent cache.
+        // Second chance: the persistent cache. Only the hits are read and
+        // decoded, spread over the sweep's threads.
         let mut to_simulate: Vec<(Key, u64)> = Vec::with_capacity(missing.len());
         if let Some(disk) = self.disk_for(settings) {
+            let found: Vec<Option<Location>> =
+                missing.iter().map(|(k, s)| disk.locate(&k.fingerprint_at(settings, *s))).collect();
             let mut hits: Vec<((Key, u64), Arc<RunReport>)> = Vec::new();
-            for (k, s) in missing {
-                match disk.get_shared(&k.fingerprint_at(settings, s)) {
-                    Some(r) => hits.push(((k, s), Arc::clone(r))),
-                    None => to_simulate.push((k, s)),
+            let reports = read_located(&found, settings.threads);
+            for ((cell, at), report) in missing.into_iter().zip(found).zip(reports) {
+                match report {
+                    Some(r) => hits.push((cell, r)),
+                    None => {
+                        // A line that no longer reads is a miss from now on.
+                        if let Some(at) = at {
+                            disk.forget(&at);
+                        }
+                        to_simulate.push(cell);
+                    }
                 }
             }
             stats.cache_hits = hits.len();
@@ -503,14 +541,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The matrix's own disk-cache entry for one cell.
-    fn disk_entry<'m>(m: &'m Matrix, k: &Key, settings: &Settings, seed: u64) -> &'m RunReport {
-        let disk = m.disk.as_ref().expect("the cache dir is open");
-        disk.get(&k.fingerprint_at(settings, seed)).expect("the cell is cached")
+    /// Asserts the matrix is the only holder of `k`'s reports: the
+    /// base seed's two views share one allocation, the extra seed 2's
+    /// one view holds its own, and nothing else (the disk cache least of
+    /// all) holds either.
+    fn assert_sole_holder(m: &Matrix, k: &Key, settings: &Settings) {
+        let base = &m.reports[k];
+        assert!(Arc::ptr_eq(base, &m.seeded[&(k.clone(), settings.seed)]), "base-seed views share");
+        assert_eq!(Arc::strong_count(base), 2, "held by the two views only");
+        assert_eq!(
+            Arc::strong_count(&m.seeded[&(k.clone(), 2)]),
+            1,
+            "held by the seeded view only"
+        );
     }
 
     #[test]
-    fn a_cell_is_one_allocation_in_both_views_and_the_disk_cache() {
+    fn a_cell_is_one_allocation_shared_by_both_views() {
         let dir =
             std::env::temp_dir().join(format!("memnet-matrix-test-share-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -521,22 +568,47 @@ mod tests {
         let mut cold = Matrix::new();
         let stats = cold.ensure_cells(&cells, &settings).unwrap();
         assert_eq!(stats.simulated, 2);
-        let base = cold.get(&k);
-        assert!(std::ptr::eq(base, cold.get_seeded(&k, settings.seed)), "base-seed views share");
-        assert!(std::ptr::eq(base, disk_entry(&cold, &k, &settings, settings.seed)));
-        assert!(std::ptr::eq(cold.get_seeded(&k, 2), disk_entry(&cold, &k, &settings, 2)));
+        assert_sole_holder(&cold, &k, &settings);
 
-        // A second matrix on the same directory serves its hits from its
-        // own disk cache's allocation.
+        // A second matrix on the same directory decodes its hits into
+        // allocations of its own, shared the same way.
         let mut warm = Matrix::new();
         let stats = warm.ensure_cells(&cells, &settings).unwrap();
         assert_eq!(stats, EnsureStats { requested: 2, memoized: 0, cache_hits: 2, simulated: 0 });
-        assert!(std::ptr::eq(warm.get(&k), warm.get_seeded(&k, settings.seed)));
-        for seed in [settings.seed, 2] {
-            let entry = disk_entry(&warm, &k, &settings, seed);
-            assert!(std::ptr::eq(warm.get_seeded(&k, seed), entry), "seed {seed}");
+        assert_sole_holder(&warm, &k, &settings);
+        assert!(!std::ptr::eq(warm.get(&k), cold.get(&k)), "each matrix decodes its own copy");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unreadable_cache_line_is_simulated_again() {
+        let dir =
+            std::env::temp_dir().join(format!("memnet-matrix-test-reread-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let settings = Settings { cache_dir: Some(dir.clone()), ..tiny_settings() };
+        let keys = [tiny_key("mixD"), tiny_key("lu.D")];
+        let mut cold = Matrix::new();
+        cold.ensure(&keys, &settings).unwrap();
+
+        // Open the cache, then corrupt every body behind its back: the
+        // headers it indexed still match, the reports no longer decode.
+        let mut warm = Matrix::new();
+        warm.disk_for(&settings).expect("the cache dir opens");
+        for file in std::fs::read_dir(&dir).unwrap() {
+            let path = file.unwrap().path();
+            let text = std::fs::read_to_string(&path).unwrap();
+            std::fs::write(&path, text.replace("\"report\":{", "\"report\":[")).unwrap();
         }
-        assert!(!std::ptr::eq(warm.get(&k), cold.get(&k)), "each matrix loads its own copy");
+        let stats = warm.ensure(&keys, &settings).unwrap();
+        assert_eq!(stats, EnsureStats { requested: 2, memoized: 0, cache_hits: 0, simulated: 2 });
+        for k in &keys {
+            let fresh = serde::json::to_string(cold.get(k));
+            assert_eq!(
+                fresh,
+                serde::json::to_string(warm.get(k)),
+                "{k:?} re-simulates identically"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

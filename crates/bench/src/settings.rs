@@ -59,8 +59,9 @@ impl Settings {
     /// evaluation period, all cores, a fixed seed, and a result cache in
     /// [`DEFAULT_CACHE_DIR`]:
     ///
-    /// * `MEMNET_EVAL_US` — simulated microseconds per run (`0` is
-    ///   rejected with a warning and falls back to 1 ms).
+    /// * `MEMNET_EVAL_US` — simulated microseconds per run (`0`, or more
+    ///   than [`SimDuration::MAX_US`], is rejected with a warning and
+    ///   falls back to 1 ms).
     /// * `MEMNET_THREADS` — sweep worker threads (`0` is rejected with a
     ///   warning and falls back to all cores).
     /// * `MEMNET_SEED` — base RNG seed.
@@ -79,6 +80,14 @@ impl Settings {
                 memnet_simcore::memnet_warn!(
                     "[settings] MEMNET_EVAL_US=0 is invalid (a run needs a nonzero \
                      window); using the 1000 us default"
+                );
+                None
+            }
+            Some(us) if SimDuration::try_from_us(us).is_none() => {
+                memnet_simcore::memnet_warn!(
+                    "[settings] MEMNET_EVAL_US={us} exceeds the {} us maximum; \
+                     using the 1000 us default",
+                    SimDuration::MAX_US
                 );
                 None
             }
@@ -258,6 +267,10 @@ mod tests {
         let s = Settings::from_env();
         assert_eq!(s.threads, auto);
         assert_eq!(s.eval_period, SimDuration::from_us(1_000));
+        // Nor may the window overflow the picosecond clock: unchecked,
+        // this one wrapped to 448 ns.
+        std::env::set_var("MEMNET_EVAL_US", "18446744073710");
+        assert_eq!(Settings::from_env().eval_period, SimDuration::from_us(1_000));
 
         // Malformed values warn (to stderr) and fall back to defaults.
         std::env::set_var("MEMNET_EVAL_US", "a lot");

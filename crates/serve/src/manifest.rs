@@ -314,6 +314,17 @@ impl<'a> Field<'a> {
         }
     }
 
+    /// A microsecond count the simulated clock can hold.
+    fn us(&self) -> Result<u64, ManifestError> {
+        let n = self.u64()?;
+        SimDuration::try_from_us(n).map(|_| n).ok_or_else(|| {
+            self.err(format!(
+                "must be at most {} (the simulated clock counts u64 picoseconds)",
+                SimDuration::MAX_US
+            ))
+        })
+    }
+
     fn f64(&self) -> Result<f64, ManifestError> {
         self.value
             .num::<f64>()
@@ -632,7 +643,7 @@ fn parse_run(text: &str, value: &Value) -> Result<RunSpec, ManifestError> {
                 })?;
             }
             "alpha_pct" => run.alpha_pct = f.f64()?,
-            "eval_us" => run.eval_us = f.u64()?,
+            "eval_us" => run.eval_us = f.us()?,
             "seed" => run.seed = Some(f.u64()?),
             "channels" => {
                 // Mirrors `memnet replay`'s multichannel refusal: manifest
@@ -674,7 +685,7 @@ fn parse_limits(text: &str, value: &Value) -> Result<Limits, ManifestError> {
     let mut limits = Limits::default();
     const KNOWN: &[&str] = &["wall_time_ms", "max_events", "max_sim_time_us"];
     walk_section(text, "limits", value, KNOWN, |key, f| {
-        let n = f.u64()?;
+        let n = if key == "max_sim_time_us" { f.us()? } else { f.u64()? };
         if n == 0 {
             return Err(f.err("must be positive (omit the key for no limit)"));
         }
@@ -756,7 +767,7 @@ fn parse_sweep(text: &str, value: &Value) -> Result<SweepSpec, ManifestError> {
                 sweep.shards = n as u32;
             }
             "eval_us" => {
-                let n = f.u64()?;
+                let n = f.us()?;
                 if n == 0 {
                     return Err(f.err("must be positive"));
                 }
@@ -840,6 +851,20 @@ mod tests {
         assert_eq!(err.line, Some(6));
         assert!(err.msg.contains("moebius"));
         assert!(err.to_string().contains("run.topology (line 6)"), "{err}");
+
+        // An evaluation period that overflows the picosecond clock (it
+        // used to wrap to a 448 ns window) is refused the same way.
+        let text = "{\n  \"schema\": \"memnet-manifest\",\n  \"v\": 1,\n  \"run\": {\n    \
+                    \"eval_us\": 18446744073710\n  }\n}";
+        let err = manifest(text).unwrap_err();
+        assert_eq!(err.path, "run.eval_us");
+        assert_eq!(err.line, Some(5));
+        assert!(err.msg.contains(&SimDuration::MAX_US.to_string()), "{}", err.msg);
+        let max = SimDuration::MAX_US;
+        manifest(&format!(
+            "{{\"schema\":\"memnet-manifest\",\"v\":1,\"run\":{{\"eval_us\":{max}}}}}"
+        ))
+        .expect("the maximum itself is accepted");
     }
 
     #[test]
@@ -893,6 +918,15 @@ mod tests {
                 .unwrap_err();
         assert_eq!(err.path, "limits.max_events");
         assert!(err.msg.contains("positive"));
+        // Nor may a limit overflow the picosecond clock (unchecked, this
+        // one wrapped to a 448 ns cap).
+        let err = manifest(
+            "{\"schema\":\"memnet-manifest\",\"v\":1,\
+             \"limits\":{\"max_sim_time_us\":18446744073710}}",
+        )
+        .unwrap_err();
+        assert_eq!(err.path, "limits.max_sim_time_us");
+        assert!(err.msg.contains(&SimDuration::MAX_US.to_string()), "{}", err.msg);
     }
 
     #[test]
@@ -1017,6 +1051,13 @@ mod tests {
         let err = manifest("{\"schema\":\"memnet-manifest\",\"v\":2,\"sweep\":{\"shards\":5000}}")
             .unwrap_err();
         assert_eq!(err.path, "sweep.shards");
+
+        let err = manifest(
+            "{\"schema\":\"memnet-manifest\",\"v\":2,\"sweep\":{\"eval_us\":18446744073710}}",
+        )
+        .unwrap_err();
+        assert_eq!(err.path, "sweep.eval_us");
+        assert!(err.msg.contains(&SimDuration::MAX_US.to_string()), "{}", err.msg);
 
         let err = manifest("{\"schema\":\"memnet-manifest\",\"v\":2,\"sweep\":{\"obs\":\"yes\"}}")
             .unwrap_err();

@@ -59,7 +59,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use memnet_bench::shard::{self, Shard, SweepPlan};
-use memnet_bench::{DiskCache, EnsureStats, Matrix, Settings};
+use memnet_bench::{DiskCache, EnsureStats, Location, Matrix, Settings};
 use memnet_core::{RunReport, StopReason};
 use serde::{json, Serialize};
 
@@ -278,15 +278,16 @@ struct State {
     sched: Mutex<Sched>,
     cv: Condvar,
     shutdown: AtomicBool,
-    /// Lock order: `sched` may be taken, then `cache` nested inside it.
-    /// Never the reverse.
+    /// The persistent result cache: an index of where each stored
+    /// result's line lives, holding no reports. Lock order: `sched` may
+    /// be taken, then `cache` nested inside it. Never the reverse.
     cache: Option<Mutex<DiskCache>>,
     /// The cache directory, so sweep shards can share the persistent
     /// result cache. Each shard opens its own [`DiskCache`] handle
     /// (writes are atomic renames, so concurrent shards never clobber
     /// each other); entries a shard stores become visible to the
     /// server's own handle above on its next reopen, i.e. the next
-    /// daemon start — the in-memory `cache` index is load-at-open.
+    /// daemon start — the `cache` index is built at open.
     cache_dir: Option<PathBuf>,
     progress_every: u64,
 }
@@ -479,12 +480,7 @@ fn submit(state: &Arc<State>, client: u64, out: &Arc<ConnOut>, manifest: &json::
         out.send(&event_rejected(err));
     };
     if state.shutdown.load(Ordering::Relaxed) {
-        reject(&crate::ManifestError {
-            path: "manifest".to_owned(),
-            line: None,
-            msg: "server is shutting down and refuses new submissions".to_owned(),
-        });
-        return;
+        return reject(&shutting_down());
     }
     // Round-trip through text: Manifest::parse owns all schema checking.
     // (Line numbers in errors are only meaningful when the client keeps
@@ -503,88 +499,120 @@ fn submit(state: &Arc<State>, client: u64, out: &Arc<ConnOut>, manifest: &json::
         Err(e) => return reject(&e),
     };
 
-    // Lifecycle events (`queued`, possibly `started`) are sent while the
-    // scheduler lock is still held: a worker cannot pop the new job —
-    // and therefore cannot emit its own `started` — until the lock
-    // drops, which pins the documented queued→started→… order. Only the
-    // bulky cache-hit result payload is deferred past the lock: it is
-    // built, encoded and sent once the lock is released.
-    let mut deferred: Option<(u64, ResolvedJob, Arc<RunReport>)> = None;
-    {
-        let mut sched = state.sched.lock().unwrap();
-        if state.shutdown.load(Ordering::Relaxed) {
-            drop(sched);
-            return reject(&crate::ManifestError {
-                path: "manifest".to_owned(),
-                line: None,
-                msg: "server is shutting down and refuses new submissions".to_owned(),
-            });
-        }
-        sched.stats.submitted += 1;
-        let job_id = sched.next_job;
-        sched.next_job += 1;
-
-        if let Some(Inflight::Run(exec)) = sched.inflight.get(&job.job_key).cloned() {
-            // Identical job already queued or running: coalesce.
-            sched.stats.coalesced += 1;
-            sched.jobs.insert(job_id, Inflight::Run(Arc::clone(&exec)));
-            exec.subs.lock().unwrap().push(Sub {
-                conn: Arc::clone(out),
-                job_id,
-                assertions: job.manifest.assertions.clone(),
-                coalesced: true,
-            });
-            out.send(&format!(
-                "{{\"event\":\"queued\",\"job\":{job_id},\"fingerprint\":{},\
-                 \"coalesced\":true,\"cached\":false}}",
-                js(&job.fingerprint)
-            ));
-            if exec.started.load(Ordering::Relaxed) {
-                out.send(&format!("{{\"event\":\"started\",\"job\":{job_id}}}"));
+    // The coalesce / cache-hit / enqueue decision is made atomically under
+    // the scheduler lock, with the persistent cache consulted as an index
+    // only: `cached_location` touches no file, so no cache file is read or
+    // decoded while the scheduler lock is held. A coalesced or queued
+    // job's lifecycle events (`queued`, possibly `started`) are sent under
+    // the lock: a worker cannot pop the new job — and therefore cannot
+    // emit its own `started` — until the lock drops, which pins the
+    // documented queued→started→… order. A hit has no worker, so its
+    // `queued` and `done` lines wait until its line has been read and
+    // decoded after the lock is released. A hit whose line can no longer
+    // be read takes the decision again without the cache, so it coalesces
+    // or simulates like any miss.
+    let mut use_cache = job.cache_eligible;
+    let (job_id, report) = loop {
+        let (job_id, at) = {
+            let mut sched = state.sched.lock().unwrap();
+            if state.shutdown.load(Ordering::Relaxed) {
+                drop(sched);
+                return reject(&shutting_down());
             }
-        } else if let Some(report) = cached_report(state, &job) {
-            // Persistent-cache hit: answer immediately, zero simulation.
-            sched.stats.cache_hits += 1;
-            sched.stats.completed += 1;
-            out.send(&format!(
-                "{{\"event\":\"queued\",\"job\":{job_id},\"fingerprint\":{},\
-                 \"coalesced\":false,\"cached\":true}}",
-                js(&job.fingerprint)
-            ));
-            deferred = Some((job_id, job, report));
-        } else {
-            let exec = Arc::new(JobExec {
-                cancel: Arc::new(AtomicBool::new(false)),
-                subs: Mutex::new(vec![Sub {
+            let job_id = sched.next_job;
+            sched.next_job += 1;
+
+            if let Some(Inflight::Run(exec)) = sched.inflight.get(&job.job_key).cloned() {
+                // Identical job already queued or running: coalesce.
+                sched.stats.submitted += 1;
+                sched.stats.coalesced += 1;
+                sched.jobs.insert(job_id, Inflight::Run(Arc::clone(&exec)));
+                exec.subs.lock().unwrap().push(Sub {
                     conn: Arc::clone(out),
                     job_id,
                     assertions: job.manifest.assertions.clone(),
-                    coalesced: false,
-                }]),
-                started: AtomicBool::new(false),
-                job,
-            });
-            out.send(&format!(
-                "{{\"event\":\"queued\",\"job\":{job_id},\"fingerprint\":{},\
-                 \"coalesced\":false,\"cached\":false}}",
-                js(&exec.job.fingerprint)
-            ));
-            sched.inflight.insert(exec.job.job_key.clone(), Inflight::Run(Arc::clone(&exec)));
-            sched.jobs.insert(job_id, Inflight::Run(Arc::clone(&exec)));
-            sched.enqueue(client, Work::Run(exec));
-            state.cv.notify_one();
+                    coalesced: true,
+                });
+                out.send(&format!(
+                    "{{\"event\":\"queued\",\"job\":{job_id},\"fingerprint\":{},\
+                     \"coalesced\":true,\"cached\":false}}",
+                    js(&job.fingerprint)
+                ));
+                if exec.started.load(Ordering::Relaxed) {
+                    out.send(&format!("{{\"event\":\"started\",\"job\":{job_id}}}"));
+                }
+                return;
+            }
+            match use_cache.then(|| cached_location(state, &job)).flatten() {
+                Some(at) => (job_id, at),
+                None => {
+                    sched.stats.submitted += 1;
+                    let exec = Arc::new(JobExec {
+                        cancel: Arc::new(AtomicBool::new(false)),
+                        subs: Mutex::new(vec![Sub {
+                            conn: Arc::clone(out),
+                            job_id,
+                            assertions: job.manifest.assertions.clone(),
+                            coalesced: false,
+                        }]),
+                        started: AtomicBool::new(false),
+                        job,
+                    });
+                    out.send(&format!(
+                        "{{\"event\":\"queued\",\"job\":{job_id},\"fingerprint\":{},\
+                         \"coalesced\":false,\"cached\":false}}",
+                        js(&exec.job.fingerprint)
+                    ));
+                    sched
+                        .inflight
+                        .insert(exec.job.job_key.clone(), Inflight::Run(Arc::clone(&exec)));
+                    sched.jobs.insert(job_id, Inflight::Run(Arc::clone(&exec)));
+                    sched.enqueue(client, Work::Run(exec));
+                    state.cv.notify_one();
+                    return;
+                }
+            }
+        };
+        match at.read() {
+            Some(report) => break (job_id, report),
+            None => {
+                if let Some(cache) = &state.cache {
+                    cache.lock().unwrap().forget(&at);
+                }
+                use_cache = false;
+            }
         }
+    };
+
+    // Persistent-cache hit: answered at once, zero simulation.
+    {
+        let mut sched = state.sched.lock().unwrap();
+        sched.stats.submitted += 1;
+        sched.stats.cache_hits += 1;
+        sched.stats.completed += 1;
     }
-    if let Some((job_id, job, report)) = deferred {
-        let payload = job::finish(
-            &job.fingerprint,
-            &job.manifest.assertions,
-            RunReport::clone(&report),
-            StopReason::Completed,
-            CacheNote { hit: true, source: "disk".to_owned() },
-        );
-        let kind = if payload.exit_code == job::EXIT_PASS { "done" } else { "failed" };
-        out.send(&event_result(kind, job_id, &payload));
+    out.send(&format!(
+        "{{\"event\":\"queued\",\"job\":{job_id},\"fingerprint\":{},\
+         \"coalesced\":false,\"cached\":true}}",
+        js(&job.fingerprint)
+    ));
+    let payload = job::finish(
+        &job.fingerprint,
+        &job.manifest.assertions,
+        Arc::unwrap_or_clone(report),
+        StopReason::Completed,
+        CacheNote { hit: true, source: "disk".to_owned() },
+    );
+    let kind = if payload.exit_code == job::EXIT_PASS { "done" } else { "failed" };
+    out.send(&event_result(kind, job_id, &payload));
+}
+
+/// The rejection a submission gets once the server is shutting down.
+fn shutting_down() -> crate::ManifestError {
+    crate::ManifestError {
+        path: "manifest".to_owned(),
+        line: None,
+        msg: "server is shutting down and refuses new submissions".to_owned(),
     }
 }
 
@@ -613,11 +641,7 @@ fn submit_sweep(state: &Arc<State>, client: u64, out: &Arc<ConnOut>, manifest: &
     let mut sched = state.sched.lock().unwrap();
     if state.shutdown.load(Ordering::Relaxed) {
         drop(sched);
-        return reject(&crate::ManifestError {
-            path: "manifest".to_owned(),
-            line: None,
-            msg: "server is shutting down and refuses new submissions".to_owned(),
-        });
+        return reject(&shutting_down());
     }
     sched.stats.submitted += 1;
     let job_id = sched.next_job;
@@ -671,17 +695,12 @@ fn event_sweep_queued(job_id: u64, run: &SweepRun, coalesced: bool) -> String {
     )
 }
 
-/// The job's report from the persistent cache, if the job is eligible
-/// and the report is there. Takes the cache lock nested inside the
-/// scheduler lock (the one place that nesting is allowed), and holds it
-/// only to share the cached `Arc`: the caller copies the report into a
-/// payload after both locks are released.
-fn cached_report(state: &State, job: &ResolvedJob) -> Option<Arc<RunReport>> {
-    if !job.cache_eligible {
-        return None;
-    }
-    let cache = state.cache.as_ref()?.lock().unwrap();
-    cache.get_shared(&job.fingerprint).cloned()
+/// Where the job's report lives in the persistent cache, if it is there.
+/// Takes the cache lock nested inside the scheduler lock (the one place
+/// that nesting is allowed) for an index lookup only: the caller reads
+/// and decodes the report after both locks are released.
+fn cached_location(state: &State, job: &ResolvedJob) -> Option<Location> {
+    state.cache.as_ref()?.lock().unwrap().locate(&job.fingerprint)
 }
 
 /// Handles one `cancel` op. A queued job loses this subscriber (and
@@ -788,8 +807,8 @@ fn run_job(state: &Arc<State>, exec: &Arc<JobExec>) {
     let report = Arc::new(report);
 
     // Persist a full, untruncated result for future submissions. The
-    // cache lock is taken alone (never while holding the scheduler), and
-    // the cache keeps this job's `Arc` rather than a copy of the report.
+    // cache lock is taken alone (never while holding the scheduler); the
+    // cache indexes the written line and keeps no copy of the report.
     if stop == StopReason::Completed && exec.job.cache_eligible {
         if let Some(cache) = &state.cache {
             let entry = [(exec.job.fingerprint.clone(), Arc::clone(&report))];

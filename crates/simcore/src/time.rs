@@ -127,10 +127,45 @@ impl SimDuration {
         SimDuration(ns * PS_PER_NS)
     }
 
+    /// The longest span [`SimDuration::try_from_us`] accepts, in
+    /// microseconds: half the picosecond clock (~106 days), so a run
+    /// that long still has the other half for the engine's `end + epoch`
+    /// and every other offset scheduled past the end of a run.
+    pub const MAX_US: u64 = u64::MAX / 2 / PS_PER_US;
+
     /// Creates a duration from an integer microsecond count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows the picosecond clock. Counts from
+    /// outside the program go through [`SimDuration::try_from_us`].
     #[inline]
     pub const fn from_us(us: u64) -> Self {
-        SimDuration(us * PS_PER_US)
+        match us.checked_mul(PS_PER_US) {
+            Some(ps) => SimDuration(ps),
+            None => panic!("microsecond count overflows the picosecond clock"),
+        }
+    }
+
+    /// Creates a duration from an integer microsecond count, or `None`
+    /// when `us` exceeds [`SimDuration::MAX_US`].
+    ///
+    /// ```
+    /// use memnet_simcore::SimDuration;
+    ///
+    /// assert_eq!(SimDuration::try_from_us(3), Some(SimDuration::from_us(3)));
+    /// assert!(SimDuration::try_from_us(SimDuration::MAX_US).is_some());
+    /// assert_eq!(SimDuration::try_from_us(SimDuration::MAX_US + 1), None);
+    /// // Unchecked, this count wrapped to a 448 ns window.
+    /// assert_eq!(SimDuration::try_from_us(18_446_744_073_710), None);
+    /// ```
+    #[inline]
+    pub const fn try_from_us(us: u64) -> Option<Self> {
+        if us > Self::MAX_US {
+            None
+        } else {
+            Some(SimDuration(us * PS_PER_US))
+        }
     }
 
     /// Creates a duration from an integer millisecond count.
@@ -349,6 +384,12 @@ mod tests {
         assert_eq!((flit * 4).as_ps(), 2_560);
         // Epoch length.
         assert_eq!(SimDuration::from_us(100).as_ps(), 100 * PS_PER_US);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the picosecond clock")]
+    fn from_us_panics_instead_of_wrapping() {
+        let _ = SimDuration::from_us(std::hint::black_box(18_446_744_073_710));
     }
 
     #[test]

@@ -194,8 +194,14 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 args.alpha = value("--alpha")?.parse().map_err(|e| format!("bad alpha: {e}"))?
             }
             "--eval-us" => {
-                args.eval_us =
-                    value("--eval-us")?.parse().map_err(|e| format!("bad eval-us: {e}"))?
+                let us = value("--eval-us")?.parse().map_err(|e| format!("bad eval-us: {e}"))?;
+                if SimDuration::try_from_us(us).is_none() {
+                    return Err(format!(
+                        "bad eval-us: {us} exceeds the {} us maximum",
+                        SimDuration::MAX_US
+                    ));
+                }
+                args.eval_us = us;
             }
             "--seed" => {
                 args.seed = Some(value("--seed")?.parse().map_err(|e| format!("bad seed: {e}"))?)

@@ -254,5 +254,23 @@ fn run_manifest_rejections_carry_field_path_and_line() {
         "error names the field and its line in the file: {err}"
     );
     assert!(err.contains("moebius"), "and echoes the bad value: {err}");
+
+    // An evaluation period the picosecond clock cannot hold (unchecked,
+    // it wrapped to a 448 ns window) is refused, in a manifest and as a
+    // flag.
+    std::fs::write(
+        &manifest,
+        "{\n  \"schema\": \"memnet-manifest\",\n  \"v\": 1,\n  \"run\": {\n    \
+         \"workload\": \"mixD\",\n    \"eval_us\": 18446744073710,\n    \"seed\": 7\n  }\n}\n",
+    )
+    .unwrap();
+    let out = memnet(&["run-manifest", manifest.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(4), "rejected manifests exit 4");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("run.eval_us (line 6)"), "names the field and its line: {err}");
+    let out = memnet(&["--workload", "mixD", "--eval-us", "18446744073710"]);
+    assert!(!out.status.success(), "an overflowing --eval-us must fail");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("bad eval-us"), "names the flag: {err}");
     let _ = std::fs::remove_file(&manifest);
 }

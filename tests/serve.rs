@@ -603,3 +603,73 @@ fn status_op_reports_counters() {
     client.shutdown();
     handle.join().unwrap();
 }
+
+/// Starts a daemon on `cache_dir`, submits `manifest` once, shuts the
+/// daemon down and returns the terminal event with the final counters.
+fn serve_once(cache_dir: &std::path::Path, manifest: &str) -> (Value, Stats) {
+    let (addr, handle) = start_server(ServerConfig {
+        workers: 1,
+        cache_dir: Some(cache_dir.to_path_buf()),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr);
+    client.submit(manifest);
+    let (kind, event, seen) = client.until_terminal();
+    assert_eq!(kind, "done", "{seen:?}");
+    client.shutdown();
+    (event, handle.join().unwrap())
+}
+
+fn report_text(event: &Value) -> String {
+    json::to_string(event.get("result").unwrap().get("report").unwrap())
+}
+
+#[test]
+fn a_restarted_daemon_serves_the_previous_daemons_results_from_disk() {
+    let cache_dir = tmp("restart-cache");
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let manifest = quick_manifest("");
+    let (first, stats) = serve_once(&cache_dir, &manifest);
+    assert_eq!(cache_source(&first), "simulated");
+    assert_eq!(stats.simulated, 1);
+
+    // The second daemon indexes the first one's line at start-up and
+    // decodes it on the hit.
+    let (second, stats) = serve_once(&cache_dir, &manifest);
+    assert_eq!(cache_source(&second), "disk");
+    assert_eq!(report_text(&second), report_text(&first), "the report is byte-identical");
+    assert_eq!((stats.simulated, stats.cache_hits), (0, 1));
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+#[test]
+fn a_hit_whose_line_no_longer_decodes_is_simulated_instead() {
+    let cache_dir = tmp("corrupt-cache");
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let manifest = quick_manifest("");
+    let (first, _) = serve_once(&cache_dir, &manifest);
+
+    // The daemon indexes the intact line at start-up; the report body is
+    // corrupted after that, so the hit it decides on cannot be decoded.
+    let (addr, handle) = start_server(ServerConfig {
+        workers: 1,
+        cache_dir: Some(cache_dir.clone()),
+        ..ServerConfig::default()
+    });
+    for file in std::fs::read_dir(&cache_dir).unwrap() {
+        let path = file.unwrap().path();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replace("\"report\":{", "\"report\":[")).unwrap();
+    }
+    let mut client = Client::connect(addr);
+    client.submit(&manifest);
+    let (kind, event, seen) = client.until_terminal();
+    assert_eq!(kind, "done", "{seen:?}");
+    assert_eq!(cache_source(&event), "simulated");
+    assert!(seen.contains(&"started".to_owned()), "a worker ran it: {seen:?}");
+    assert_eq!(report_text(&event), report_text(&first), "and it simulates the same report");
+    client.shutdown();
+    let stats = handle.join().unwrap();
+    assert_eq!((stats.submitted, stats.simulated, stats.cache_hits), (1, 1, 0));
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
