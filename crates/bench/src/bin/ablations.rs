@@ -2,9 +2,10 @@
 //! cap, epoch length, response-link wakeup chaining, and the leftover-AMS
 //! rescue pool, plus the host-time cost of one ISP epoch per iteration cap.
 //!
-//! Usage: `cargo run --release --bin ablations`. Reads `MEMNET_EVAL_US`
-//! through [`Settings::from_env`], like every figure binary: 1000 µs by
-//! default, and a malformed or zero window warns and falls back to it.
+//! Usage: `cargo run --release -p memnet-bench --bin ablations`. Reads
+//! `MEMNET_EVAL_US` through [`Settings::from_env`], like `memnet
+//! figures`: 1000 µs by default, and a malformed or zero window warns
+//! and falls back to it.
 
 use std::hint::black_box;
 use std::sync::Arc;

@@ -1,9 +1,9 @@
 //! Persistent, versioned on-disk result cache.
 //!
-//! The matrix-backed figure binaries and `memnet sweep` simulate through
+//! `memnet figures` and `memnet sweep` simulate through
 //! [`crate::Matrix`], which consults this cache before sweeping; the
 //! `memnet serve` daemon stores and serves its jobs through it too. The
-//! closed-form `tables`/`fig04` binaries and `ablations` (which calls
+//! closed-form `tables`/`fig04` figures and `ablations` (which calls
 //! `run_pair` directly) never touch it. Cached results live as
 //! JSON-lines files (`*.jsonl`) in the cache directory; each line is one
 //! entry:
@@ -29,7 +29,7 @@
 //! whose report no longer decodes is a miss: `get` warns and drops it
 //! from the index.
 //!
-//! Writes are atomic and collision-free under concurrent figure binaries:
+//! Writes are atomic and collision-free under concurrent processes:
 //! each [`DiskCache::store`] call writes a fresh uniquely named temp file
 //! in the cache directory and `rename(2)`s it into place, so readers only
 //! ever see complete files and two processes never clobber each other's
@@ -290,7 +290,7 @@ impl DiskCache {
     /// next process's warm start.
     ///
     /// The write is atomic: a unique temp file in the cache directory is
-    /// renamed into place, so concurrent figure binaries can store
+    /// renamed into place, so concurrent processes can store
     /// simultaneously without corrupting or overwriting one another.
     pub fn store<R: Into<Arc<RunReport>>>(
         &mut self,

@@ -1,6 +1,8 @@
 //! One regenerator per paper table/figure. Every function returns the
 //! formatted rows/series the paper reports, running (and memoizing) the
-//! simulations it needs.
+//! simulations it needs. [`FIGURES`] is the registry of them all: the
+//! name, section title, key set and renderer of each, which `memnet
+//! figures` renders and `memnet sweep` plans from.
 
 use memnet_core::{AddressMapping, NetworkScale, PolicyKind};
 use memnet_dram::DramParams;
@@ -60,67 +62,103 @@ fn managed_keys(policy: PolicyKind, mechs: &[Mechanism], alphas: &[f64]) -> Vec<
     keys
 }
 
-/// Every matrix-backed figure/section of the suite, in canonical order.
-/// These are the names `memnet sweep --figures` (and the serve sweep
-/// manifest) accept; `tables` and `fig04` are closed-form and have no
-/// matrix cells to sweep.
-pub const SWEEP_FIGURES: [&str; 15] = [
-    "fig05",
-    "fig06",
-    "fig08",
-    "fig09",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "sec7a",
-    "faults",
-    "stress",
-    "model_diff",
+/// One entry of the figure registry: a table, figure or section of the
+/// evaluation.
+#[derive(Debug)]
+pub struct Figure {
+    /// Registry name, as `memnet figures` and `memnet sweep --figures`
+    /// take it.
+    pub name: &'static str,
+    /// Section title in the full render.
+    pub title: &'static str,
+    /// The configurations the figure reads, in plan order; `None` for a
+    /// closed-form figure, which has no matrix cells to sweep.
+    pub keys: Option<fn() -> Vec<Key>>,
+    /// Renders the figure's text, ensuring its keys first.
+    pub render: fn(&mut Matrix, &Settings) -> String,
+}
+
+/// Every table, figure and section of the suite, in canonical order:
+/// the paper's evaluation, then the fault sweep, the stress suite and
+/// the model differential.
+pub static FIGURES: [Figure; 17] = [
+    Figure { name: "tables", title: "Tables I-III", keys: None, render: |_, _| tables() },
+    Figure { name: "fig04", title: "Figure 4", keys: None, render: |_, _| fig04() },
+    Figure { name: "fig05", title: "Figure 5", keys: Some(fp_keys), render: fig05 },
+    Figure { name: "fig06", title: "Figure 6", keys: Some(fp_keys), render: fig06 },
+    Figure { name: "fig08", title: "Figure 8", keys: Some(fp_keys), render: fig08 },
+    Figure { name: "fig09", title: "Figure 9", keys: Some(fp_keys), render: fig09 },
+    Figure { name: "fig11", title: "Figure 11", keys: Some(unaware_keys), render: fig11 },
+    Figure { name: "fig12", title: "Figure 12", keys: Some(unaware_keys), render: fig12 },
+    Figure { name: "fig13", title: "Figure 13", keys: Some(fig13_keys), render: fig13 },
+    Figure { name: "fig15", title: "Figure 15", keys: Some(fig15_keys), render: fig15 },
+    Figure { name: "fig16", title: "Figure 16", keys: Some(fig16_keys), render: fig16 },
+    Figure { name: "fig17", title: "Figure 17", keys: Some(fig17_keys), render: fig17 },
+    Figure { name: "fig18", title: "Figure 18", keys: Some(fig18_keys), render: fig18 },
+    Figure { name: "sec7a", title: "Section VII-A", keys: Some(sec7a_keys), render: sec7a },
+    Figure {
+        name: "faults",
+        title: "Fault sweep",
+        keys: Some(faults_sweep_keys),
+        render: faults_sweep,
+    },
+    Figure { name: "stress", title: "Stress suite", keys: Some(stress_keys), render: stress },
+    Figure {
+        name: "model_diff",
+        title: "Model differential",
+        keys: Some(model_diff_keys),
+        render: model_diff,
+    },
 ];
 
-/// The exact key set the named figure ensures, or `None` for names not
-/// in [`SWEEP_FIGURES`]. This is the enumeration the sweep partitioner
-/// shards, and each figure function ensures exactly this list.
+/// The registry entry named `name`.
+pub fn figure(name: &str) -> Option<&'static Figure> {
+    FIGURES.iter().find(|f| f.name == name)
+}
+
+/// The names of the matrix-backed figures, in canonical order: what
+/// `memnet sweep` sweeps by default, and what its `--figures` and the
+/// serve sweep manifest accept.
+pub fn sweep_figures() -> Vec<&'static str> {
+    FIGURES.iter().filter(|f| f.keys.is_some()).map(|f| f.name).collect()
+}
+
+/// The exact key set the named figure ensures, or `None` for names that
+/// are not matrix-backed registry figures ([`sweep_figures`]). This is
+/// the enumeration the sweep partitioner shards.
 pub fn figure_keys(name: &str) -> Option<Vec<Key>> {
-    let both = [PolicyKind::NetworkUnaware, PolicyKind::NetworkAware];
-    Some(match name {
-        "fig05" | "fig06" | "fig08" | "fig09" => fp_keys(),
-        "fig11" | "fig12" => {
-            let mut keys = fp_keys();
-            keys.extend(managed_keys(PolicyKind::NetworkUnaware, &MAIN_MECHS, &ALPHAS));
-            keys
-        }
-        "fig13" => both.iter().flat_map(|&p| managed_keys(p, &[Mechanism::Vwl], &[0.05])).collect(),
-        "fig15" => both.iter().flat_map(|&p| managed_keys(p, &MAIN_MECHS, &ALPHAS)).collect(),
-        "fig16" => {
-            let mut keys = fp_keys();
-            for p in both {
-                keys.extend(managed_keys(p, &MAIN_MECHS, &[0.05]));
-            }
-            keys
-        }
-        "fig17" => {
-            let mut keys = fp_keys();
-            for p in both {
-                keys.extend(managed_keys(p, &MAIN_MECHS, &ALPHAS));
-            }
-            keys
-        }
-        "fig18" => {
-            let mut keys = fp_keys();
-            keys.extend(fig18_keys());
-            keys
-        }
-        "sec7a" => sec7a_keys(),
-        "faults" => faults_sweep_keys(),
-        "stress" => stress_keys(),
-        "model_diff" => model_diff_keys(),
-        _ => return None,
-    })
+    figure(name)?.keys.map(|keys| keys())
+}
+
+const BOTH_POLICIES: [PolicyKind; 2] = [PolicyKind::NetworkUnaware, PolicyKind::NetworkAware];
+
+/// The full-power baselines, then each policy's managed keys.
+fn fp_and_managed(policies: &[PolicyKind], mechs: &[Mechanism], alphas: &[f64]) -> Vec<Key> {
+    let mut keys = fp_keys();
+    for &policy in policies {
+        keys.extend(managed_keys(policy, mechs, alphas));
+    }
+    keys
+}
+
+fn unaware_keys() -> Vec<Key> {
+    fp_and_managed(&[PolicyKind::NetworkUnaware], &MAIN_MECHS, &ALPHAS)
+}
+
+fn fig13_keys() -> Vec<Key> {
+    BOTH_POLICIES.iter().flat_map(|&p| managed_keys(p, &[Mechanism::Vwl], &[0.05])).collect()
+}
+
+fn fig15_keys() -> Vec<Key> {
+    BOTH_POLICIES.iter().flat_map(|&p| managed_keys(p, &MAIN_MECHS, &ALPHAS)).collect()
+}
+
+fn fig16_keys() -> Vec<Key> {
+    fp_and_managed(&BOTH_POLICIES, &MAIN_MECHS, &[0.05])
+}
+
+fn fig17_keys() -> Vec<Key> {
+    fp_and_managed(&BOTH_POLICIES, &MAIN_MECHS, &ALPHAS)
 }
 
 /// Ensures the key set of the named registry figure ([`figure_keys`]).
@@ -725,11 +763,10 @@ pub fn fig17(matrix: &mut Matrix, settings: &Settings) -> String {
 // Figure 18 — sensitivity (DVFS, 20 ns ROO)
 // ----------------------------------------------------------------------
 
-/// The 20 ns-wakeup managed keys of figure 18 (the figure also needs
-/// the full-power baselines from `fp_keys`).
+/// The full-power baselines, then figure 18's 20 ns-wakeup managed keys.
 fn fig18_keys() -> Vec<Key> {
     let mechs = [Mechanism::Dvfs, Mechanism::Roo, Mechanism::DvfsRoo];
-    let mut keys = Vec::new();
+    let mut keys = fp_keys();
     for policy in [PolicyKind::NetworkUnaware, PolicyKind::NetworkAware] {
         for w in workloads() {
             for topo in TOPOS {

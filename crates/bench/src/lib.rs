@@ -3,19 +3,22 @@
 //! The experiment harness: regenerates every table and figure of the
 //! paper's evaluation.
 //!
-//! Each `fig*` binary prints one figure's data series; the `all` binary
-//! runs the full suite sharing one [`Matrix`] of simulation results so
-//! common configurations (e.g. the full-power baselines) are simulated
-//! once.
+//! [`figures::FIGURES`] lists every table and figure. `memnet figures
+//! [NAME...]` renders the named ones (all of them by default) through
+//! one shared [`Matrix`] of simulation results, so common configurations
+//! (e.g. the full-power baselines) are simulated once. The `ablations`
+//! binary runs the design-choice ablations outside the matrix.
 //!
 //! Simulated evaluation time defaults to 1 ms per run (the paper uses
 //! 10 ms); set `MEMNET_EVAL_US` to lengthen or shorten it, and
 //! `MEMNET_THREADS` to bound the sweep parallelism.
 //!
 //! Results are cached persistently between invocations (see
-//! [`mod@cache`]): re-running any binary with a warm cache performs zero
-//! simulations. Point `MEMNET_CACHE_DIR` somewhere else to relocate the
-//! cache, or set `MEMNET_NO_CACHE=1` to bypass it.
+//! [`mod@cache`]): re-rendering with a warm cache performs zero
+//! simulations, and so does rendering from the caches that the shards of
+//! a `memnet sweep` filled, once their files share one directory. Point
+//! `MEMNET_CACHE_DIR` somewhere else to relocate the cache, or set
+//! `MEMNET_NO_CACHE=1` to bypass it.
 //!
 //! Sweeps scale out across processes and machines: `memnet sweep
 //! --shard i/n` computes a deterministic, disjoint slice of the figure

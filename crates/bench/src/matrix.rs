@@ -232,6 +232,15 @@ pub struct EnsureStats {
     pub simulated: usize,
 }
 
+impl std::ops::AddAssign for EnsureStats {
+    fn add_assign(&mut self, other: EnsureStats) {
+        self.requested += other.requested;
+        self.memoized += other.memoized;
+        self.cache_hits += other.cache_hits;
+        self.simulated += other.simulated;
+    }
+}
+
 /// Reads and decodes every located cache entry on up to `threads` threads
 /// (the caller's among them), returning the reports in input order:
 /// `None` where nothing was located or the line no longer reads.
@@ -273,6 +282,8 @@ pub struct Matrix {
     /// multi-seed consumers ([`Matrix::get_seeded`], sharded sweeps).
     seeded: HashMap<(Key, u64), Arc<RunReport>>,
     disk: Option<DiskCache>,
+    /// The sum of every [`Matrix::ensure_cells`] call's stats.
+    totals: EnsureStats,
 }
 
 impl Matrix {
@@ -323,6 +334,17 @@ impl Matrix {
     /// [`Self::ensure`] over explicit `(key, seed)` cells — the sharded
     /// sweep entry point, where a shard may own only some seeds of a key.
     pub fn ensure_cells(
+        &mut self,
+        cells: &[(Key, u64)],
+        settings: &Settings,
+    ) -> Result<EnsureStats, String> {
+        let stats = self.ensure_missing(cells, settings)?;
+        self.totals += stats;
+        Ok(stats)
+    }
+
+    /// The body of [`Self::ensure_cells`].
+    fn ensure_missing(
         &mut self,
         cells: &[(Key, u64)],
         settings: &Settings,
@@ -449,14 +471,9 @@ impl Matrix {
             .unwrap_or_else(|| panic!("configuration not simulated under seed {seed}: {key:?}"))
     }
 
-    /// Number of simulated configurations.
-    pub fn len(&self) -> usize {
-        self.reports.len()
-    }
-
-    /// True if nothing has been simulated yet.
-    pub fn is_empty(&self) -> bool {
-        self.reports.is_empty()
+    /// The stats of every `ensure` call so far, summed.
+    pub fn totals(&self) -> EnsureStats {
+        self.totals
     }
 }
 
@@ -502,11 +519,12 @@ mod tests {
         let k = tiny_key("mixD");
         let stats = m.ensure(&[k.clone(), k.clone()], &tiny_settings()).unwrap();
         assert_eq!(stats, EnsureStats { requested: 1, memoized: 0, cache_hits: 0, simulated: 1 });
-        assert_eq!(m.len(), 1);
         let before = m.get(&k).completed_reads;
         let stats = m.ensure(std::slice::from_ref(&k), &tiny_settings()).unwrap();
         assert_eq!(stats, EnsureStats { requested: 1, memoized: 1, cache_hits: 0, simulated: 0 });
         assert_eq!(m.get(&k).completed_reads, before);
+        let totals = EnsureStats { requested: 2, memoized: 1, cache_hits: 0, simulated: 1 };
+        assert_eq!(m.totals(), totals, "totals sum every ensure call");
     }
 
     #[test]

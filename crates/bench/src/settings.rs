@@ -196,8 +196,9 @@ pub fn parse_seed_list(text: &str) -> Result<Vec<u64>, String> {
 
 impl Default for Settings {
     /// Defaults for in-process use (tests, library callers): 1 ms window,
-    /// four threads, fixed seed, **no** persistent cache. The figure
-    /// binaries use [`Settings::from_env`], which enables the cache.
+    /// four threads, fixed seed, **no** persistent cache. `memnet
+    /// figures` and `memnet sweep` use [`Settings::from_env`], which
+    /// enables the cache.
     fn default() -> Self {
         Settings {
             eval_period: SimDuration::from_us(1_000),

@@ -170,7 +170,7 @@ impl SweepPlan {
             let keys = figures::figure_keys(name).ok_or_else(|| {
                 format!(
                     "unknown figure {name:?}; matrix-backed figures are: {}",
-                    figures::SWEEP_FIGURES.join(", ")
+                    figures::sweep_figures().join(", ")
                 )
             })?;
             for key in keys {
@@ -560,10 +560,7 @@ pub fn merge(files: &[ShardFile]) -> Result<Merged, String> {
 
     let mut stats = EnsureStats::default();
     for file in files {
-        stats.requested += file.stats.requested;
-        stats.memoized += file.stats.memoized;
-        stats.cache_hits += file.stats.cache_hits;
-        stats.simulated += file.stats.simulated;
+        stats += file.stats;
     }
     Ok(Merged {
         text,
@@ -580,7 +577,7 @@ mod tests {
     use super::*;
 
     fn default_figures() -> Vec<String> {
-        figures::SWEEP_FIGURES.iter().map(|s| s.to_string()).collect()
+        figures::sweep_figures().into_iter().map(String::from).collect()
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Plain-text rendering of run reports: aligned tables and unicode bar
-//! charts for terminals, used by the examples and experiment binaries.
+//! charts for terminals, used by the examples, the CLI and the figures.
 
 use crate::metrics::RunReport;
 use memnet_net::mech::BwMode;

@@ -56,7 +56,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use memnet_bench::figures::SWEEP_FIGURES;
+use memnet_bench::figures::sweep_figures;
 use memnet_bench::shard::MAX_SHARDS;
 use memnet_bench::{Key, Settings};
 use memnet_core::{ConfigError, NetworkScale, PolicyKind, SimConfig};
@@ -226,7 +226,7 @@ impl Default for Assertions {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Figure names to enumerate, in registry order. Defaults to every
-    /// matrix-backed figure ([`memnet_bench::figures::SWEEP_FIGURES`]).
+    /// matrix-backed figure ([`memnet_bench::figures::sweep_figures`]).
     pub figures: Vec<String>,
     /// How many shards to split the cell set into (1..=[`MAX_SHARDS`]).
     pub shards: u32,
@@ -244,7 +244,7 @@ pub struct SweepSpec {
 impl Default for SweepSpec {
     fn default() -> SweepSpec {
         SweepSpec {
-            figures: SWEEP_FIGURES.iter().map(|&f| f.to_owned()).collect(),
+            figures: sweep_figures().into_iter().map(String::from).collect(),
             shards: 1,
             eval_us: 1_000,
             seed: 0xC0FFEE,
@@ -642,7 +642,18 @@ fn parse_run(text: &str, value: &Value) -> Result<RunSpec, ManifestError> {
                     f.err(format!("unknown mechanism {v:?} (fp|vwl|roo|vwl+roo|dvfs|dvfs+roo)"))
                 })?;
             }
-            "alpha_pct" => run.alpha_pct = f.f64()?,
+            "alpha_pct" => {
+                // Cache identities hold α in whole tenths of a percent
+                // (`Key::alpha_tenths_pct`): two values between grid
+                // points would share one identity and one cached result.
+                let pct = f.f64()?;
+                if (pct * 10.0).round() / 10.0 != pct {
+                    return Err(f.err(format!(
+                        "{pct} is not a whole number of tenths of a percent (e.g. 2.5)"
+                    )));
+                }
+                run.alpha_pct = pct;
+            }
             "eval_us" => run.eval_us = f.us()?,
             "seed" => run.seed = Some(f.u64()?),
             "channels" => {
@@ -749,10 +760,11 @@ fn parse_sweep(text: &str, value: &Value) -> Result<SweepSpec, ManifestError> {
                     let name = v.as_str().map_err(|_| {
                         f.err(format!("expected an array of figure names, got {v:?}"))
                     })?;
-                    if !SWEEP_FIGURES.contains(&name) {
+                    let valid = sweep_figures();
+                    if !valid.contains(&name) {
                         return Err(f.err(format!(
                             "unknown figure {name:?} (valid figures: {})",
-                            SWEEP_FIGURES.join(", ")
+                            valid.join(", ")
                         )));
                     }
                     figures.push(name.to_owned());
@@ -865,6 +877,24 @@ mod tests {
             "{{\"schema\":\"memnet-manifest\",\"v\":1,\"run\":{{\"eval_us\":{max}}}}}"
         ))
         .expect("the maximum itself is accepted");
+
+        // An α off the 0.1% grid would share its cache identity with a
+        // neighbour (0.51 and 0.54 both fingerprinted as alpha=5).
+        let text = "{\n  \"schema\": \"memnet-manifest\",\n  \"v\": 1,\n  \"run\": {\n    \
+                    \"workload\": \"mixD\",\n    \"alpha_pct\": 0.54\n  }\n}";
+        let err = manifest(text).unwrap_err();
+        assert_eq!(err.path, "run.alpha_pct");
+        assert_eq!(err.line, Some(6));
+        assert!(err.msg.contains("0.54"), "{}", err.msg);
+        for (pct, tenths) in [(2.5, 25), (5.0, 50), (30.0, 300)] {
+            let job = manifest(&format!(
+                "{{\"schema\":\"memnet-manifest\",\"v\":1,\"run\":{{\"alpha_pct\":{pct}}}}}"
+            ))
+            .expect("grid values are accepted")
+            .resolve()
+            .unwrap();
+            assert!(job.fingerprint.contains(&format!("|alpha={tenths}|")), "{}", job.fingerprint);
+        }
     }
 
     #[test]
@@ -986,7 +1016,7 @@ mod tests {
         let m = manifest("{\"schema\":\"memnet-manifest\",\"v\":2,\"sweep\":{}}").unwrap();
         let sweep = m.sweep.expect("sweep present");
         assert_eq!(sweep, SweepSpec::default());
-        assert_eq!(sweep.figures.len(), SWEEP_FIGURES.len(), "defaults to every figure");
+        assert_eq!(sweep.figures.len(), sweep_figures().len(), "defaults to every figure");
         assert_eq!(sweep.shards, 1);
         assert_eq!(sweep.eval_us, 1_000);
         assert_eq!(sweep.seed, 0xC0FFEE);

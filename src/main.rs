@@ -52,6 +52,10 @@
 //! recombines per-shard files into output byte-identical to the
 //! unsharded run (`--check` validates coverage without writing). See
 //! `memnet::bench::shard` for the partition and file format.
+//!
+//! `memnet figures [NAME...]` renders the paper's tables and figures
+//! (every registry figure by default) through the same matrix and result
+//! cache, so a cache that sweeps filled renders without simulating.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -106,6 +110,7 @@ fn usage() -> &'static str {
      \x20      memnet sweep [--shard I/N] [--figures LIST] [--seeds LIST] [--obs]\n\
      \x20                   [--out FILE]\n\
      \x20      memnet merge [--check] [--out FILE] SHARD_FILE...\n\
+     \x20      memnet figures [NAME...]\n\
      \x20 --faults SPEC: fault scenario, e.g. ber=1e-6,burst=mild,degrade=2:4,fail=3\n\
      \x20                (defaults to the MEMNET_FAULTS environment variable)\n\
      \x20 --obs:         keep per-epoch time-series samples in the report\n\
@@ -144,7 +149,9 @@ fn usage() -> &'static str {
      \x20 merge:         recombine per-shard sweep files into output\n\
      \x20                byte-identical to the unsharded run (exit 0 merged,\n\
      \x20                1 I/O error, 2 mismatched or incomplete shards);\n\
-     \x20                --check validates coverage without writing output"
+     \x20                --check validates coverage without writing output\n\
+     \x20 figures:       render the named tables and figures (default: all, in\n\
+     \x20                paper order) to stdout; settings and cache as for sweep"
 }
 
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
@@ -843,7 +850,7 @@ fn sweep_command(rest: Vec<String>) -> Result<ExitCode, String> {
         settings.seeds = seeds;
     }
     let figure_list = figure_list
-        .unwrap_or_else(|| figures::SWEEP_FIGURES.iter().map(|s| s.to_string()).collect());
+        .unwrap_or_else(|| figures::sweep_figures().into_iter().map(String::from).collect());
     let plan = shard::SweepPlan::new(&figure_list, &settings)?;
     let mut matrix = Matrix::new();
     let (text, stats) = shard::run_shard(&plan, shard_arg, &settings, &mut matrix)?;
@@ -936,6 +943,44 @@ fn merge_command(rest: Vec<String>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// `memnet figures [NAME...]`: render the named registry figures, in the
+/// order given (every figure, in canonical order, when none is named),
+/// each under its section header, then log one line summing what every
+/// figure's ensure did.
+fn figures_command(rest: Vec<String>) -> Result<(), String> {
+    use memnet::bench::{figures, Matrix, Settings};
+    let mut selected = Vec::new();
+    for arg in &rest {
+        if arg == "--help" || arg == "-h" {
+            println!("{}", usage());
+            return Ok(());
+        }
+        selected.push(figures::figure(arg).ok_or_else(|| {
+            let names: Vec<&str> = figures::FIGURES.iter().map(|f| f.name).collect();
+            format!("unknown figure {arg:?}; figures are: {}", names.join(", "))
+        })?);
+    }
+    if selected.is_empty() {
+        selected = figures::FIGURES.iter().collect();
+    }
+    let settings = Settings::from_env();
+    let mut matrix = Matrix::new();
+    for figure in &selected {
+        println!("==================== {} ====================", figure.title);
+        println!("{}", (figure.render)(&mut matrix, &settings));
+    }
+    let totals = matrix.totals();
+    memnet_log!(
+        "[figures] {} figure(s), {} cell(s): {} memoized, {} cache hit(s), {} simulated",
+        selected.len(),
+        totals.requested,
+        totals.memoized,
+        totals.cache_hits,
+        totals.simulated
+    );
+    Ok(())
+}
+
 /// `memnet trace FILE [--csv OUT]`: validate a JSONL trace and print its
 /// summary and per-link residency table.
 fn trace_command(rest: Vec<String>) -> ExitCode {
@@ -1009,100 +1054,30 @@ fn trace_command(rest: Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// A subcommand's exit code, or `FAILURE` once its error is printed.
+fn exit_code(result: Result<ExitCode, String>) -> ExitCode {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
+}
+
 fn main() -> ExitCode {
     let mut raw = std::env::args().skip(1).peekable();
+    let ok = |()| ExitCode::SUCCESS;
     match raw.peek().map(String::as_str) {
         Some("trace") => return trace_command(raw.skip(1).collect()),
-        Some("record") => {
-            return match record_command(raw.skip(1).collect()) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("replay") => {
-            return match replay_command(raw.skip(1).collect()) {
-                Ok(code) => code,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("calibrate") => {
-            return match calibrate_command(raw.skip(1).collect()) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("diff-models") => {
-            return match diff_models_command(raw.skip(1).collect()) {
-                Ok(code) => code,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("serve") => {
-            return match serve_command(raw.skip(1).collect()) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("submit") => {
-            return match submit_command(raw.skip(1).collect()) {
-                Ok(code) => code,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("run-manifest") => {
-            return match run_manifest_command(raw.skip(1).collect()) {
-                Ok(code) => code,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("shutdown") => {
-            return match shutdown_command(raw.skip(1).collect()) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("sweep") => {
-            return match sweep_command(raw.skip(1).collect()) {
-                Ok(code) => code,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("merge") => {
-            return match merge_command(raw.skip(1).collect()) {
-                Ok(code) => code,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
+        Some("record") => return exit_code(record_command(raw.skip(1).collect()).map(ok)),
+        Some("replay") => return exit_code(replay_command(raw.skip(1).collect())),
+        Some("calibrate") => return exit_code(calibrate_command(raw.skip(1).collect()).map(ok)),
+        Some("diff-models") => return exit_code(diff_models_command(raw.skip(1).collect())),
+        Some("serve") => return exit_code(serve_command(raw.skip(1).collect()).map(ok)),
+        Some("submit") => return exit_code(submit_command(raw.skip(1).collect())),
+        Some("run-manifest") => return exit_code(run_manifest_command(raw.skip(1).collect())),
+        Some("shutdown") => return exit_code(shutdown_command(raw.skip(1).collect()).map(ok)),
+        Some("sweep") => return exit_code(sweep_command(raw.skip(1).collect())),
+        Some("figures") => return exit_code(figures_command(raw.skip(1).collect()).map(ok)),
+        Some("merge") => return exit_code(merge_command(raw.skip(1).collect())),
         _ => {}
     }
     let args = match parse_args(raw) {

@@ -272,5 +272,50 @@ fn run_manifest_rejections_carry_field_path_and_line() {
     assert!(!out.status.success(), "an overflowing --eval-us must fail");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("bad eval-us"), "names the flag: {err}");
+
+    // An α between two 0.1% grid points has no cache identity of its own.
+    std::fs::write(
+        &manifest,
+        "{\n  \"schema\": \"memnet-manifest\",\n  \"v\": 1,\n  \"run\": {\n    \
+         \"workload\": \"mixD\",\n    \"alpha_pct\": 0.54,\n    \"seed\": 7\n  }\n}\n",
+    )
+    .unwrap();
+    let out = memnet(&["run-manifest", manifest.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(4), "rejected manifests exit 4");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("run.alpha_pct (line 6)"), "names the field and its line: {err}");
     let _ = std::fs::remove_file(&manifest);
+}
+
+#[test]
+fn figures_render_named_sections_and_reject_unknown_names() {
+    let golden = |name: &str| {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+        std::fs::read_to_string(format!("{dir}/{name}.txt")).unwrap()
+    };
+    let out = memnet(&["figures", "tables", "fig04"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!(
+            "==================== Tables I-III ====================\n{}\n\
+             ==================== Figure 4 ====================\n{}\n",
+            golden("tables"),
+            golden("fig04")
+        ),
+        "two sections, in the order named"
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("[figures] 2 figure(s), 0 cell(s): 0 memoized, 0 cache hit(s), 0 simulated"),
+        "closed-form figures simulate nothing: {err}"
+    );
+
+    let out = memnet(&["figures", "fig05", "fig99"]);
+    assert!(!out.status.success(), "an unknown figure must fail");
+    assert!(out.stdout.is_empty(), "nothing renders before the names are checked");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown figure \"fig99\""), "names the culprit: {err}");
+    assert!(err.contains("tables, fig04, fig05") && err.contains("model_diff"), "{err}");
+    assert!(!err.contains("[matrix"), "nothing simulates: {err}");
 }

@@ -100,7 +100,7 @@ fn figure_text_matches_golden_snapshots() {
     // Static tables and workload CDFs: no simulation at all.
     check_golden("tables", &figures::tables());
     check_golden("fig04", &figures::fig04());
-    // Simulated figures share one matrix, like the `all` binary does.
+    // Simulated figures share one matrix, like `memnet figures` does.
     check_golden("fig05", &figures::fig05(&mut matrix, &settings));
     check_golden("fig06", &figures::fig06(&mut matrix, &settings));
     check_golden("fig09", &figures::fig09(&mut matrix, &settings));

@@ -331,6 +331,11 @@ fn invalid_manifests_are_rejected_before_any_worker_is_occupied() {
             "unknown key",
         ),
         (quick_manifest(",\"run_replay\":1"), "run_replay", "unknown key"),
+        (
+            "{\"schema\":\"memnet-manifest\",\"v\":1,\"run\":{\"alpha_pct\":0.54}}".to_owned(),
+            "run.alpha_pct",
+            "tenths of a percent",
+        ),
     ];
     for (manifest, path, msg) in cases {
         client.submit(&manifest);
@@ -345,7 +350,7 @@ fn invalid_manifests_are_rejected_before_any_worker_is_occupied() {
 
     client.shutdown();
     let stats = handle.join().unwrap();
-    assert_eq!(stats.rejected, 6);
+    assert_eq!(stats.rejected, 7);
     assert_eq!(stats.submitted, 0, "rejections never count as accepted work");
     assert_eq!(stats.simulated, 0, "no worker ever ran");
 }

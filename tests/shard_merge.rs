@@ -6,14 +6,14 @@
 use std::collections::HashSet;
 use std::process::Command;
 
-use memnet::bench::figures::SWEEP_FIGURES;
+use memnet::bench::figures::sweep_figures;
 use memnet::bench::shard::{self, Shard, SweepPlan};
 use memnet::bench::{Matrix, Settings};
 use memnet::simcore::SimDuration;
 use proptest::prelude::*;
 
 fn all_figures() -> Vec<String> {
-    SWEEP_FIGURES.iter().map(|s| s.to_string()).collect()
+    sweep_figures().into_iter().map(String::from).collect()
 }
 
 proptest! {
