@@ -9,7 +9,7 @@
 //! entry:
 //!
 //! ```json
-//! {"v":10,"fp":"v10|eval_ps=...|seed=...|wl=mixD|...","report":{...}}
+//! {"v":11,"fp":"v11|eval_ps=...|seed=...|wl=mixD|...","report":{...}}
 //! ```
 //!
 //! `v` is [`CACHE_SCHEMA_VERSION`]; lines with any other version (or
@@ -65,8 +65,10 @@ use serde::{json, Deserialize, Serialize};
 /// multi-seed engine. The per-seed fingerprint format is unchanged —
 /// lockstep replicas are bit-identical to solo runs — but the bump
 /// draws a clean line so any result produced by a pre-lockstep build
-/// re-simulates once under the new engine.
-pub const CACHE_SCHEMA_VERSION: u32 = 10;
+/// re-simulates once under the new engine;
+/// 11 = `RunReport` lost the always-empty `trace` field (packet
+/// milestones moved to the obs trace file as `pkt` events).
+pub const CACHE_SCHEMA_VERSION: u32 = 11;
 
 /// One cache line as [`DiskCache::store`] writes it.
 #[derive(Debug, Serialize)]

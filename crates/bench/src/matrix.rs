@@ -313,11 +313,13 @@ impl Matrix {
         self.disk.as_mut()
     }
 
-    /// Ensures every key has a result under every seed in
-    /// [`Settings::seed_list`], in order of preference: already in
-    /// memory, in the persistent cache, or freshly simulated (in
-    /// parallel) — and persists anything fresh for the next process.
-    /// Each `(key, seed)` cell is one worker-pool job; stats count cells.
+    /// Ensures every key has a result under the base seed
+    /// ([`Settings::seed`]), in order of preference: already in memory,
+    /// in the persistent cache, or freshly simulated (in parallel) — and
+    /// persists anything fresh for the next process. Each key is one
+    /// worker-pool job. Figures read only the base seed ([`Self::get`]);
+    /// replica seeds ([`Settings::seeds`]) are for sweep plans, which
+    /// hand their `(key, seed)` cells to [`Self::ensure_cells`].
     ///
     /// # Errors
     ///
@@ -325,9 +327,7 @@ impl Matrix {
     /// the matrix (a replay or calibrated key); the message carries the
     /// offending cell's cache fingerprint.
     pub fn ensure(&mut self, keys: &[Key], settings: &Settings) -> Result<EnsureStats, String> {
-        let seeds = settings.seed_list();
-        let cells: Vec<(Key, u64)> =
-            keys.iter().flat_map(|k| seeds.iter().map(|&s| (k.clone(), s))).collect();
+        let cells: Vec<(Key, u64)> = keys.iter().map(|k| (k.clone(), settings.seed)).collect();
         self.ensure_cells(&cells, settings)
     }
 
@@ -663,12 +663,35 @@ mod tests {
         assert!(err.contains(&c.fingerprint(&tiny_settings())), "{err}");
     }
 
+    /// Every `(key, seed)` cell of `keys` under `settings.seed_list()`,
+    /// as a sweep plan lays them out.
+    fn seeded_cells(keys: &[Key], settings: &Settings) -> Vec<(Key, u64)> {
+        let seeds = settings.seed_list();
+        keys.iter().flat_map(|k| seeds.iter().map(|&s| (k.clone(), s))).collect()
+    }
+
     #[test]
-    fn multi_seed_cells_match_solo_sweeps() {
+    fn ensure_simulates_only_the_base_seed() {
         let settings = Settings { seeds: vec![2, 3], ..tiny_settings() };
         let keys = [tiny_key("mixD"), tiny_key("lu.D")];
         let mut m = Matrix::new();
         let stats = m.ensure(&keys, &settings).unwrap();
+        assert_eq!(stats, EnsureStats { requested: 2, memoized: 0, cache_hits: 0, simulated: 2 });
+        for k in &keys {
+            assert!(m.seeded.contains_key(&(k.clone(), settings.seed)));
+            for seed in [2, 3] {
+                assert!(!m.seeded.contains_key(&(k.clone(), seed)), "{k:?} simulated seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn multi_seed_cells_match_solo_sweeps() {
+        let settings = Settings { seeds: vec![2, 3], ..tiny_settings() };
+        let keys = [tiny_key("mixD"), tiny_key("lu.D")];
+        let cells = seeded_cells(&keys, &settings);
+        let mut m = Matrix::new();
+        let stats = m.ensure_cells(&cells, &settings).unwrap();
         assert_eq!(stats, EnsureStats { requested: 6, memoized: 0, cache_hits: 0, simulated: 6 });
 
         // Each seed's cell is byte-identical to the same cell swept solo
@@ -695,7 +718,7 @@ mod tests {
         }
 
         // Re-ensuring is fully memoized, per (key, seed) cell.
-        let stats = m.ensure(&keys, &settings).unwrap();
+        let stats = m.ensure_cells(&cells, &settings).unwrap();
         assert_eq!(stats, EnsureStats { requested: 6, memoized: 6, cache_hits: 0, simulated: 0 });
     }
 
@@ -706,7 +729,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let settings = Settings { seeds: vec![2], cache_dir: Some(dir.clone()), ..tiny_settings() };
         let k = tiny_key("mixD");
-        let stats = Matrix::new().ensure(std::slice::from_ref(&k), &settings).unwrap();
+        let cells = seeded_cells(std::slice::from_ref(&k), &settings);
+        let stats = Matrix::new().ensure_cells(&cells, &settings).unwrap();
         assert_eq!(stats.simulated, 2);
 
         // A later solo sweep under the extra seed is served entirely from

@@ -28,7 +28,7 @@
 //! ```json
 //! {"schema":"memnet-sweep","v":1,"shard":0,"of":4,"figures":[...],
 //!  "eval_ps":...,"seed":...,"obs":false,"cells":112,"set":"<digest>"}
-//! {"fp":"v10|...","report":{...}}
+//! {"fp":"v11|...","report":{...}}
 //! {"end":true,"cells":28,"requested":28,"memoized":0,"cache_hits":3,"simulated":25}
 //! ```
 //!

@@ -164,8 +164,6 @@ pub struct SimConfig {
     pub wake_chaining: bool,
     /// §VI-A3 leftover-AMS rescue pool (ablation knob).
     pub rescue_pool: bool,
-    /// Maximum packet-trace events to record (0 disables tracing).
-    pub trace_limit: usize,
     /// Runtime invariant-audit level (see [`memnet_simcore::audit`]).
     /// Audit checks never mutate simulation state, so the level cannot
     /// change results — only the `audit` section of the report.
@@ -308,7 +306,6 @@ pub struct SimConfigBuilder {
     isp_iterations: usize,
     wake_chaining: bool,
     rescue_pool: bool,
-    trace_limit: usize,
     audit: AuditLevel,
     faults: FaultConfig,
     obs: ObsConfig,
@@ -338,7 +335,6 @@ impl SimConfigBuilder {
             isp_iterations: 3,
             wake_chaining: true,
             rescue_pool: true,
-            trace_limit: 0,
             audit: AuditLevel::from_env(),
             faults: FaultConfig::none(),
             obs: ObsConfig::off(),
@@ -434,12 +430,6 @@ impl SimConfigBuilder {
     /// Enables or disables the §VI-A3 rescue pool (ablation knob).
     pub fn rescue_pool(mut self, on: bool) -> Self {
         self.rescue_pool = on;
-        self
-    }
-
-    /// Records up to `limit` packet-trace events (see [`crate::trace`]).
-    pub fn trace_limit(mut self, limit: usize) -> Self {
-        self.trace_limit = limit;
         self
     }
 
@@ -558,7 +548,6 @@ impl SimConfigBuilder {
             isp_iterations: self.isp_iterations,
             wake_chaining: self.wake_chaining,
             rescue_pool: self.rescue_pool,
-            trace_limit: self.trace_limit,
             audit: self.audit,
             faults: Arc::new(self.faults),
             obs: self.obs,

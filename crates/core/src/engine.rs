@@ -38,7 +38,7 @@ use memnet_net::link::{
 use memnet_net::mech::{BwMode, DvfsLevel, LinkPowerMode, VwlWidth, N_BW_MODES};
 use memnet_net::{Direction, LinkId, ModuleId, NodeRef, Packet, PacketKind, Topology};
 use memnet_obs::{
-    saturate_latency, EpochSample, LinkSample, NullRecorder, ObsEvent, ObsEventKind, Recorder,
+    saturate_latency, EpochSample, LinkSample, ObsEvent, ObsEventKind, PktPoint,
     TimeSeriesRecorder, TraceMeta,
 };
 use memnet_policy::{PolicyKind, PowerController, ViolationAction};
@@ -50,7 +50,6 @@ use crate::config::{AddressMapping, SimConfig};
 use crate::frontend::{Frontend, InjectStep};
 use crate::limits::{LimitedRun, RunLimits, RunProgress, StopReason};
 use crate::metrics::{FaultSummary, LinkTelemetry, PowerSummary, RunReport};
-use crate::trace::{Trace, TraceEvent, TracePoint};
 
 /// Router traversal latency: four pipeline cycles at the 0.64 ns flit
 /// clock.
@@ -167,16 +166,13 @@ pub struct Engine {
     hops_sum: u64,
     hops_count: u64,
     events_processed: u64,
-    trace: Trace,
     audit: Auditor,
 
     // --- observability (crates/obs) ---
-    /// The installed recorder ([`NullRecorder`] when observability is off).
-    obs: Box<dyn Recorder>,
-    /// Cached `obs.is_active()`: every hook site checks this one flag, so
-    /// the disabled path costs a single predictable branch and never
-    /// constructs event payloads.
-    obs_on: bool,
+    /// The recorder, present only when `cfg.obs` is active: every hook
+    /// site checks it, so the disabled path costs a single predictable
+    /// branch and never constructs event payloads.
+    obs: Option<Box<TimeSeriesRecorder>>,
     /// Per-epoch deltas for the sampler; `None` when observability is off.
     obs_epoch: Option<Box<ObsEpochState>>,
 }
@@ -273,12 +269,7 @@ impl Engine {
             }
         }
         let end = start + cfg.eval_period;
-        let obs_on = cfg.obs.is_active();
-        let obs: Box<dyn Recorder> = if obs_on {
-            Box::new(TimeSeriesRecorder::new(cfg.obs.clone()))
-        } else {
-            Box::new(NullRecorder)
-        };
+        let obs = cfg.obs.is_active().then(|| Box::new(TimeSeriesRecorder::new(cfg.obs.clone())));
         Engine {
             queue: EventQueue::with_capacity(4096),
             now: start,
@@ -315,23 +306,13 @@ impl Engine {
             hops_sum: 0,
             hops_count: 0,
             events_processed: 0,
-            trace: Trace::with_limit(cfg.trace_limit),
             audit: Auditor::new(cfg.audit),
             obs,
-            obs_on,
             obs_epoch: None,
             links,
             topo,
             cfg,
         }
-    }
-
-    /// Replaces the recorder (tests inject custom [`Recorder`]s this way;
-    /// `Engine::new` already installs the right one for `cfg.obs`).
-    pub fn with_recorder(mut self, recorder: Box<dyn Recorder>) -> Engine {
-        self.obs_on = recorder.is_active();
-        self.obs = recorder;
-        self
     }
 
     /// Replaces the energy backend with a custom instance — a calibrated
@@ -434,7 +415,7 @@ impl Engine {
         self.arm_inject(start);
         self.schedule(self.now + self.cfg.epoch, Event::EpochEnd);
 
-        if self.obs_on {
+        if let Some(obs) = self.obs.as_deref_mut() {
             let meta = TraceMeta {
                 workload: self.cfg.workload.name,
                 topology: self.cfg.topology.label(),
@@ -446,7 +427,7 @@ impl Engine {
                 n_links: self.topo.n_links() as u32,
                 n_modules: self.topo.len() as u32,
             };
-            self.obs.start(&meta);
+            obs.start(&meta);
             let n = self.topo.len();
             self.obs_epoch = Some(Box::new(ObsEpochState {
                 index: 0,
@@ -507,22 +488,22 @@ impl Engine {
     }
 
     /// Delivers a discrete observability event. Callers guard on
-    /// `self.obs_on` themselves when constructing the payload costs
-    /// anything; the double check here is branch-predicted away.
+    /// `self.obs.is_some()` themselves when constructing the payload
+    /// costs anything; the double check here is branch-predicted away.
     #[inline]
     fn obs_event(&mut self, kind: ObsEventKind) {
-        if self.obs_on {
-            self.obs.record_event(&ObsEvent { t_ps: self.now.as_ps(), kind });
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.record_event(&ObsEvent { t_ps: self.now.as_ps(), kind });
         }
     }
 
+    /// Delivers a packet milestone when `cfg.obs.packets` asks for them.
     #[inline]
-    fn trace(&mut self, packet: &Packet, point: TracePoint) {
-        if self.trace.active() {
-            self.trace.record(TraceEvent {
-                time: self.now,
+    fn pkt_event(&mut self, packet: &Packet, point: PktPoint) {
+        if self.cfg.obs.packets {
+            self.obs_event(ObsEventKind::Pkt {
                 packet: packet.id,
-                kind: packet.kind,
+                kind: packet.kind.label(),
                 point,
             });
         }
@@ -622,7 +603,7 @@ impl Engine {
                         created: self.now,
                     };
                     self.next_packet_id += 1;
-                    self.trace(&pkt, TracePoint::Inject);
+                    self.pkt_event(&pkt, PktPoint::Inject);
                     self.hops_sum += u64::from(self.topo.depth(dest));
                     self.hops_count += 1;
                     let root = self.root_of[dest.0];
@@ -669,7 +650,7 @@ impl Engine {
             if self.now > last_end {
                 self.controller.on_idle_interval(l, self.now - last_end);
             }
-            self.trace(&pkt, TracePoint::LinkStart(l));
+            self.pkt_event(&pkt, PktPoint::LinkStart(l.0 as u32));
             self.in_flight[l.0] = Some((pkt, arrival, self.now));
             self.schedule(done, Event::LinkDone(l));
         }
@@ -689,7 +670,7 @@ impl Engine {
             if self.retry_attempts[l.0] < fm.retry_limit() && fm.transmission_corrupted(l.0, flits)
             {
                 self.retry_attempts[l.0] += 1;
-                if self.obs_on {
+                if self.obs.is_some() {
                     let attempt = self.retry_attempts[l.0];
                     self.obs_event(ObsEventKind::Nak { link: l.0 as u32, attempt });
                 }
@@ -702,7 +683,7 @@ impl Engine {
         self.retry_attempts[l.0] = 0;
         self.links[l.0].finish_transmission(self.now);
         let (pkt, arrival, start) = self.in_flight[l.0].take().expect("transmission in flight");
-        self.trace(&pkt, TracePoint::LinkDone(l));
+        self.pkt_event(&pkt, PktPoint::LinkDone(l.0 as u32));
         // Route/SERDES energy is charged to the downstream module.
         self.flits_routed[l.edge_module().0] += pkt.flits();
         // The measured departure includes any SERDES stretch beyond the
@@ -766,7 +747,7 @@ impl Engine {
             Direction::Response => match self.topo.parent(m) {
                 NodeRef::Processor => {
                     self.packet_free.push(slot);
-                    self.trace(&pkt, TracePoint::Retire);
+                    self.pkt_event(&pkt, PktPoint::Retire);
                     self.frontend.complete_read(self.now - pkt.created);
                     let now = self.now;
                     self.arm_inject(now);
@@ -791,7 +772,7 @@ impl Engine {
 
     fn on_vault_ingress(&mut self, m: ModuleId, slot: PktSlot) {
         let pkt = self.pool_take(slot);
-        self.trace(&pkt, TracePoint::VaultEnqueue(m));
+        self.pkt_event(&pkt, PktPoint::VaultEnqueue(m.0 as u32));
         let line = self.line_in_module(pkt.line_addr);
         let (v, bank) = line_to_vault_bank(line, &self.cfg.dram);
         if pkt.kind == PacketKind::ReadRequest {
@@ -867,7 +848,7 @@ impl Engine {
             self.vault_reads_in_flight[m.0] -= 1;
             let pkt =
                 self.outstanding_reads.remove(&id).expect("read completion for unknown packet");
-            self.trace(&pkt, TracePoint::VaultDone(m));
+            self.pkt_event(&pkt, PktPoint::VaultDone(m.0 as u32));
             let resp = pkt.to_response();
             let at = self.now + ROUTER_LATENCY;
             let slot = self.pool_put(resp);
@@ -886,7 +867,7 @@ impl Engine {
             return;
         }
         let mut done = self.links[l.0].start_wake(self.now);
-        if self.obs_on {
+        if self.obs.is_some() {
             self.obs_event(ObsEventKind::Wake { link: l.0 as u32 });
         }
         if let Some(fm) = self.faults.as_mut() {
@@ -895,7 +876,7 @@ impl Engine {
                 // more full wakeup interval retrains the link.
                 self.wake_timeouts += 1;
                 done = done + (done - self.now);
-                if self.obs_on {
+                if self.obs.is_some() {
                     self.obs_event(ObsEventKind::WakeTimeout { link: l.0 as u32 });
                 }
             }
@@ -919,7 +900,7 @@ impl Engine {
 
     fn on_chain_wake(&mut self, l: LinkId) {
         if self.links[l.0].is_off() {
-            if self.obs_on {
+            if self.obs.is_some() {
                 self.obs_event(ObsEventKind::ChainWake { link: l.0 as u32 });
             }
             self.wake_link(l);
@@ -937,7 +918,7 @@ impl Engine {
 
     fn on_wake_done(&mut self, l: LinkId) {
         self.links[l.0].finish_wake(self.now);
-        if self.obs_on {
+        if self.obs.is_some() {
             self.obs_event(ObsEventKind::WakeDone { link: l.0 as u32 });
         }
         let now = self.now;
@@ -990,7 +971,7 @@ impl Engine {
             }
         }
         self.links[l.0].turn_off(self.now);
-        if self.obs_on {
+        if self.obs.is_some() {
             self.obs_event(ObsEventKind::TurnOff { link: l.0 as u32 });
         }
         // Turning off may unblock an upstream response link's turn-off;
@@ -1025,7 +1006,7 @@ impl Engine {
         };
         // Trace only real transitions: re-selecting the current mode is
         // the common case and would drown the trace in no-ops.
-        if self.obs_on
+        if self.obs.is_some()
             && (mode.bw != self.links[link.0].bw_mode()
                 || mode.roo != self.links[link.0].roo_threshold())
         {
@@ -1047,7 +1028,7 @@ impl Engine {
 
     fn force_full_power(&mut self, link: LinkId) {
         let full = self.cfg.mechanism.full_mode();
-        if self.obs_on {
+        if self.obs.is_some() {
             self.obs_event(ObsEventKind::ForcedFull { link: link.0 as u32 });
         }
         self.links[link.0].cancel_pending_bw();
@@ -1066,7 +1047,7 @@ impl Engine {
         // Sample *before* `epoch_end` dispatches and resets the per-epoch
         // monitor state: the budgets, FLO estimates and histograms read
         // here are the ones that governed the closing epoch.
-        if self.obs_on {
+        if self.obs.is_some() {
             self.obs_sample_epoch();
             if self.cfg.policy == PolicyKind::NetworkAware {
                 let rounds = self.cfg.isp_iterations as u32;
@@ -1167,7 +1148,9 @@ impl Engine {
         st.index += 1;
         st.start = now;
         self.obs_epoch = Some(st);
-        self.obs.record_epoch(sample);
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.record_epoch(sample);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1178,10 +1161,10 @@ impl Engine {
         // Close the trailing partial epoch (skipped when the evaluation
         // period is an exact multiple of the epoch: the final EpochEnd
         // event already sampled at `end`).
-        if self.obs_on && self.obs_epoch.as_ref().is_some_and(|st| self.now > st.start) {
+        if self.obs_epoch.as_ref().is_some_and(|st| self.now > st.start) {
             self.obs_sample_epoch();
         }
-        let obs_section = if self.obs_on { self.obs.finish() } else { None };
+        let obs_section = self.obs.as_deref_mut().map(TimeSeriesRecorder::finish);
         let mut audit = self.audit;
         let window = self.end - SimTime::ZERO;
         let mut energy = EnergyBreakdown::default();
@@ -1305,7 +1288,6 @@ impl Engine {
             audit: Default::default(),
             faults: fault_summary,
             links: telemetry,
-            trace: self.trace.events().to_vec(),
             obs: obs_section,
         };
         if audit.enabled(AuditLevel::Cheap) {

@@ -44,7 +44,6 @@ pub mod metrics;
 pub mod multichannel;
 pub mod report_text;
 pub mod runner;
-pub mod trace;
 
 pub use config::{
     AddressMapping, ConfigError, NetworkScale, SimConfig, SimConfigBuilder, TrafficSpec,
@@ -55,4 +54,3 @@ pub use limits::{LimitedRun, RunLimits, RunProgress, StopReason};
 pub use memnet_policy::PolicyKind;
 pub use metrics::{LinkTelemetry, PowerSummary, RunReport};
 pub use runner::{run_pair, sweep, sweep_seeds};
-pub use trace::{Trace, TraceEvent, TracePoint};

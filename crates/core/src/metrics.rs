@@ -7,8 +7,6 @@ use memnet_power::{EnergyBackend, EnergyBreakdown};
 use memnet_simcore::{AuditReport, SimDuration};
 use serde::{Deserialize, Serialize};
 
-use crate::trace::TraceEvent;
-
 /// Power summary over the evaluation window.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PowerSummary {
@@ -154,8 +152,6 @@ pub struct RunReport {
     pub faults: FaultSummary,
     /// Per-link detail.
     pub links: Vec<LinkTelemetry>,
-    /// Captured packet trace (empty unless tracing was enabled).
-    pub trace: Vec<TraceEvent>,
     /// Time-series observability section (`None` unless `cfg.obs` enabled
     /// sampling or tracing — disabled runs serialize this as `null` and
     /// stay bit-identical to builds without the subsystem).
@@ -276,7 +272,6 @@ mod tests {
             audit: AuditReport::default(),
             faults: FaultSummary::default(),
             links: Vec::new(),
-            trace: Vec::new(),
             obs: None,
         }
     }

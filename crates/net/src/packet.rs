@@ -47,6 +47,15 @@ impl PacketKind {
     pub const fn is_downstream(self) -> bool {
         matches!(self, PacketKind::ReadRequest | PacketKind::WriteRequest)
     }
+
+    /// The name trace output uses for this kind.
+    pub const fn label(self) -> &'static str {
+        match self {
+            PacketKind::ReadRequest => "ReadRequest",
+            PacketKind::WriteRequest => "WriteRequest",
+            PacketKind::ReadResponse => "ReadResponse",
+        }
+    }
 }
 
 /// A packet in flight through the memory network.

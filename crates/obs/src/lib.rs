@@ -6,15 +6,15 @@
 //! carries end-of-run aggregates. This crate adds the missing time axis
 //! without perturbing results or costing anything when switched off:
 //!
-//! * [`Recorder`] — the engine-facing trait. The default methods are all
-//!   no-ops, so the [`NullRecorder`] used when observability is off
-//!   compiles down to nothing behind the engine's single `obs_on` branch.
-//! * [`TimeSeriesRecorder`] — samples an [`EpochSample`] per controller
-//!   epoch (per-link mode + mode residency, AMS budgets, FLO estimates,
-//!   rescue pool, ISP rounds, queue depths, per-category energy, retry and
-//!   wake counts) into a bounded ring buffer, and optionally streams
-//!   schema-versioned JSONL events (mode transitions, wakeups, NAKs, ISP
-//!   dispatches) to a trace file with decimation controls.
+//! * [`TimeSeriesRecorder`] — the engine holds one only while observability
+//!   is on, so an unobserved run pays one always-false branch per hook
+//!   site. It samples an [`EpochSample`] per controller epoch (per-link
+//!   mode + mode residency, AMS budgets, FLO estimates, rescue pool, ISP
+//!   rounds, queue depths, per-category energy, retry and wake counts)
+//!   into a bounded ring buffer, and optionally streams schema-versioned
+//!   JSONL events (mode transitions, wakeups, NAKs, ISP dispatches and,
+//!   on request, per-packet milestones) to a trace file with decimation
+//!   controls.
 //! * [`summary`] — parses and validates a trace file and renders per-link
 //!   residency tables plus an epoch CSV for plotting.
 //!
@@ -47,8 +47,8 @@ pub const ENERGY_CATEGORIES: [&str; 7] =
 /// Observability configuration carried inside `SimConfig`.
 ///
 /// The default (and [`ObsConfig::off`]) disables everything; the engine
-/// then installs a [`NullRecorder`] and the only residual cost is one
-/// always-false branch per hook site. Like `SimConfigBuilder::faults`,
+/// then holds no recorder and the only residual cost is one always-false
+/// branch per hook site. Like `SimConfigBuilder::faults`,
 /// nothing here reads the environment — [`ObsConfig::from_env`] exists for
 /// the CLI layer only, so cached results can never be poisoned by an env
 /// var the cache key does not see.
@@ -67,6 +67,10 @@ pub struct ObsConfig {
     /// Hard cap on events written to the trace file; once reached the
     /// trace is marked truncated and further events are dropped.
     pub trace_max: u64,
+    /// Also offer every packet milestone (inject, link start/done, vault
+    /// enqueue/done, retire) as a `pkt` event, under the same decimation
+    /// and cap. Meant for a trace file; it activates nothing by itself.
+    pub packets: bool,
 }
 
 impl ObsConfig {
@@ -78,6 +82,7 @@ impl ObsConfig {
             trace_path: None,
             trace_every: 1,
             trace_max: 1_000_000,
+            packets: false,
         }
     }
 
@@ -168,6 +173,9 @@ pub enum ObsEventKind {
     /// The controller dispatched an ISP scatter/gather phase of `rounds`
     /// propagation rounds at an epoch boundary.
     Isp { rounds: u32 },
+    /// Packet `packet` (a transaction id, shared by a read request and
+    /// its response) of kind `kind` reached `point` on its path.
+    Pkt { packet: u64, kind: &'static str, point: PktPoint },
 }
 
 impl ObsEventKind {
@@ -183,6 +191,39 @@ impl ObsEventKind {
             ObsEventKind::ForcedFull { .. } => "forced_full",
             ObsEventKind::Nak { .. } => "nak",
             ObsEventKind::Isp { .. } => "isp",
+            ObsEventKind::Pkt { .. } => "pkt",
+        }
+    }
+}
+
+/// Where a packet milestone happened: a `pkt` event's `point`, with the
+/// link or module it names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PktPoint {
+    /// Injected by the processor front-end.
+    Inject,
+    /// Began serializing on a link.
+    LinkStart(u32),
+    /// Last flit left a link's transmitter.
+    LinkDone(u32),
+    /// Entered a module's vault queue.
+    VaultEnqueue(u32),
+    /// The module's DRAM access completed (reads only).
+    VaultDone(u32),
+    /// The read retired at the processor.
+    Retire,
+}
+
+impl PktPoint {
+    /// The `"point"` name this milestone serializes under.
+    pub fn name(&self) -> &'static str {
+        match self {
+            PktPoint::Inject => "inject",
+            PktPoint::LinkStart(_) => "link_start",
+            PktPoint::LinkDone(_) => "link_done",
+            PktPoint::VaultEnqueue(_) => "vault_enqueue",
+            PktPoint::VaultDone(_) => "vault_done",
+            PktPoint::Retire => "retire",
         }
     }
 }
@@ -258,38 +299,6 @@ pub struct ObsSection {
 pub fn saturate_latency(v: i128) -> i64 {
     v.clamp(i64::MIN as i128, i64::MAX as i128) as i64
 }
-
-/// Engine-facing recording interface.
-///
-/// Every method defaults to a no-op so `NullRecorder` (and any partial
-/// implementation) costs nothing. The engine additionally guards each call
-/// site behind a cached `is_active` flag, so the disabled path never even
-/// constructs event payloads.
-///
-/// `Send` is a supertrait so an engine holding a recorder can move to a
-/// sweep worker thread.
-pub trait Recorder: Send {
-    /// Whether the engine should construct and deliver payloads at all.
-    fn is_active(&self) -> bool {
-        false
-    }
-    /// Called once before the first simulated event.
-    fn start(&mut self, _meta: &TraceMeta) {}
-    /// Called for each discrete event while active.
-    fn record_event(&mut self, _event: &ObsEvent) {}
-    /// Called once per controller epoch (plus a trailing partial epoch).
-    fn record_epoch(&mut self, _sample: EpochSample) {}
-    /// Called at finalization; returns the report section, if any.
-    fn finish(&mut self) -> Option<ObsSection> {
-        None
-    }
-}
-
-/// The do-nothing recorder installed when observability is off.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {}
 
 #[derive(Serialize)]
 struct TraceHeader {
@@ -380,16 +389,25 @@ impl TimeSeriesRecorder {
             ObsEventKind::Isp { rounds } => {
                 format!("{{\"t\":{t},\"ev\":\"{name}\",\"rounds\":{rounds}}}")
             }
+            ObsEventKind::Pkt { packet, kind, point } => {
+                let at = match *point {
+                    PktPoint::LinkStart(l) | PktPoint::LinkDone(l) => format!(",\"link\":{l}"),
+                    PktPoint::VaultEnqueue(m) | PktPoint::VaultDone(m) => {
+                        format!(",\"module\":{m}")
+                    }
+                    PktPoint::Inject | PktPoint::Retire => String::new(),
+                };
+                format!(
+                    "{{\"t\":{t},\"ev\":\"{name}\",\"packet\":{packet},\"kind\":\"{kind}\",\"point\":\"{}\"{at}}}",
+                    point.name()
+                )
+            }
         }
     }
-}
 
-impl Recorder for TimeSeriesRecorder {
-    fn is_active(&self) -> bool {
-        true
-    }
-
-    fn start(&mut self, meta: &TraceMeta) {
+    /// Writes the trace header. Called once before the first simulated
+    /// event.
+    pub fn start(&mut self, meta: &TraceMeta) {
         if self.writer.is_some() {
             let header = TraceHeader {
                 schema: "memnet-trace",
@@ -411,7 +429,9 @@ impl Recorder for TimeSeriesRecorder {
         }
     }
 
-    fn record_event(&mut self, event: &ObsEvent) {
+    /// Counts one discrete event and writes it unless decimation or the
+    /// cap drops it.
+    pub fn record_event(&mut self, event: &ObsEvent) {
         self.events_seen += 1;
         if self.writer.is_none() {
             return;
@@ -429,7 +449,10 @@ impl Recorder for TimeSeriesRecorder {
         self.events_written += 1;
     }
 
-    fn record_epoch(&mut self, sample: EpochSample) {
+    /// Retains one epoch's sample in the ring and writes it to the trace
+    /// file. Called once per controller epoch, plus once for a trailing
+    /// partial epoch.
+    pub fn record_epoch(&mut self, sample: EpochSample) {
         if self.writer.is_some() {
             let line = format!(
                 "{{\"t\":{},\"ev\":\"sample\",\"sample\":{}}}",
@@ -449,7 +472,9 @@ impl Recorder for TimeSeriesRecorder {
         self.epochs.push_back(sample);
     }
 
-    fn finish(&mut self) -> Option<ObsSection> {
+    /// Writes the footer and returns the report section. Called once, at
+    /// finalization.
+    pub fn finish(&mut self) -> ObsSection {
         let section = ObsSection {
             schema: OBS_SCHEMA_VERSION,
             epochs: self.epochs.drain(..).collect(),
@@ -473,7 +498,7 @@ impl Recorder for TimeSeriesRecorder {
                 }
             }
         }
-        Some(section)
+        section
     }
 }
 
@@ -519,15 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn null_recorder_is_inert() {
-        let mut r = NullRecorder;
-        assert!(!r.is_active());
-        r.record_epoch(sample(0));
-        r.record_event(&ObsEvent { t_ps: 1, kind: ObsEventKind::Wake { link: 0 } });
-        assert!(r.finish().is_none());
-    }
-
-    #[test]
     fn epoch_sample_round_trips_through_json() {
         let s = sample(3);
         let text = json::to_string(&s);
@@ -542,7 +558,7 @@ mod tests {
         for e in 0..5 {
             r.record_epoch(sample(e));
         }
-        let section = r.finish().expect("section");
+        let section = r.finish();
         assert_eq!(section.samples_dropped, 3);
         let kept: Vec<u64> = section.epochs.iter().map(|s| s.epoch).collect();
         assert_eq!(kept, vec![3, 4]);
@@ -553,7 +569,7 @@ mod tests {
         let cfg = ObsConfig { enabled: true, ring_capacity: 0, ..ObsConfig::off() };
         let mut r = TimeSeriesRecorder::new(cfg);
         r.record_epoch(sample(0));
-        let section = r.finish().expect("section");
+        let section = r.finish();
         assert!(section.epochs.is_empty());
         assert_eq!(section.samples_dropped, 1);
     }
@@ -565,7 +581,7 @@ mod tests {
         for t in 0..7 {
             r.record_event(&ObsEvent { t_ps: t, kind: ObsEventKind::Wake { link: 1 } });
         }
-        let section = r.finish().expect("section");
+        let section = r.finish();
         assert_eq!(section.events_seen, 7);
         assert_eq!(section.events_written, 0);
         assert!(!section.truncated);
@@ -592,6 +608,9 @@ mod tests {
             ObsEventKind::ForcedFull { link: 5 },
             ObsEventKind::Nak { link: 1, attempt: 2 },
             ObsEventKind::Isp { rounds: 3 },
+            ObsEventKind::Pkt { packet: 4, kind: "ReadRequest", point: PktPoint::Inject },
+            ObsEventKind::Pkt { packet: 4, kind: "ReadRequest", point: PktPoint::LinkDone(2) },
+            ObsEventKind::Pkt { packet: 4, kind: "ReadResponse", point: PktPoint::VaultDone(1) },
         ];
         for kind in events {
             let line = TimeSeriesRecorder::event_line(&ObsEvent { t_ps: 17, kind: kind.clone() });

@@ -9,10 +9,10 @@
 
 use serde::{json, Deserialize};
 
-use crate::{EpochSample, ENERGY_CATEGORIES, OBS_SCHEMA_VERSION};
+use crate::{EpochSample, PktPoint, ENERGY_CATEGORIES, OBS_SCHEMA_VERSION};
 
 /// Event tags valid in schema version 1, excluding `sample` and `end`.
-pub const EVENT_KINDS: [&str; 9] = [
+pub const EVENT_KINDS: [&str; 10] = [
     "mode",
     "wake",
     "wake_done",
@@ -22,6 +22,7 @@ pub const EVENT_KINDS: [&str; 9] = [
     "forced_full",
     "nak",
     "isp",
+    "pkt",
 ];
 
 /// Everything extracted from a validated trace file.
@@ -38,10 +39,24 @@ pub struct TraceSummary {
     pub events_by_kind: Vec<(&'static str, u64)>,
     /// All epoch samples present in the file, in order.
     pub samples: Vec<EpochSample>,
+    /// All `pkt` events present in the file, in order.
+    pub packets: Vec<PacketEvent>,
     /// Footer bookkeeping.
     pub events_seen: u64,
     pub events_written: u64,
     pub truncated: bool,
+}
+
+/// One `pkt` line: a packet milestone read back from a trace.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PacketEvent {
+    pub t_ps: u64,
+    /// Transaction id (shared by a read request and its response).
+    pub packet: u64,
+    /// Packet kind at this milestone (`ReadRequest`, `WriteRequest`,
+    /// `ReadResponse`).
+    pub kind: String,
+    pub point: PktPoint,
 }
 
 impl TraceSummary {
@@ -56,13 +71,44 @@ fn field<T: Deserialize>(v: &json::Value, key: &str) -> Result<T, String> {
     T::deserialize(inner).map_err(|e| format!("bad {key:?}: {}", e.0))
 }
 
+/// Reads a `link` or `module` index and checks it against the header's
+/// count of them.
+fn index(v: &json::Value, key: &str, count: u32) -> Result<u32, String> {
+    let i: u32 = field(v, key)?;
+    if i >= count {
+        return Err(format!("{key} {i} out of range ({count} {key}s)"));
+    }
+    Ok(i)
+}
+
+/// Reads the body of a `pkt` line stamped `t_ps`.
+fn packet_event(
+    v: &json::Value,
+    t_ps: u64,
+    n_links: u32,
+    n_modules: u32,
+) -> Result<PacketEvent, String> {
+    let point: String = field(v, "point")?;
+    let point = match point.as_str() {
+        "inject" => PktPoint::Inject,
+        "link_start" => PktPoint::LinkStart(index(v, "link", n_links)?),
+        "link_done" => PktPoint::LinkDone(index(v, "link", n_links)?),
+        "vault_enqueue" => PktPoint::VaultEnqueue(index(v, "module", n_modules)?),
+        "vault_done" => PktPoint::VaultDone(index(v, "module", n_modules)?),
+        "retire" => PktPoint::Retire,
+        other => return Err(format!("unknown packet point {other:?}")),
+    };
+    Ok(PacketEvent { t_ps, packet: field(v, "packet")?, kind: field(v, "kind")?, point })
+}
+
 /// Parses and validates a JSONL trace, returning its summary.
 ///
 /// Errors carry the 1-based line number of the offending line. Validation
 /// checks: header first with the expected schema name and version, every
 /// subsequent line a known event / `sample` / `end` object with the fields
-/// that kind requires, timestamps non-decreasing, exactly one footer and
-/// nothing after it, and footer counts consistent with the body.
+/// that kind requires (links and modules within the header's counts),
+/// timestamps non-decreasing, exactly one footer and nothing after it,
+/// and footer counts consistent with the body.
 pub fn parse_jsonl(text: &str) -> Result<TraceSummary, String> {
     let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
 
@@ -85,9 +131,12 @@ pub fn parse_jsonl(text: &str) -> Result<TraceSummary, String> {
     let mechanism: String =
         field(&header, "mechanism").map_err(|e| format!("line {}: {e}", n0 + 1))?;
     let n_links: u32 = field(&header, "n_links").map_err(|e| format!("line {}: {e}", n0 + 1))?;
+    let n_modules: u32 =
+        field(&header, "n_modules").map_err(|e| format!("line {}: {e}", n0 + 1))?;
 
     let mut counts = [0u64; EVENT_KINDS.len()];
     let mut samples: Vec<EpochSample> = Vec::new();
+    let mut packets: Vec<PacketEvent> = Vec::new();
     let mut footer: Option<(u64, u64, bool)> = None;
     let mut last_t: u64 = 0;
 
@@ -141,14 +190,16 @@ pub fn parse_jsonl(text: &str) -> Result<TraceSummary, String> {
                     return Err(format!("line {n}: timestamp {t} goes backwards (last {last_t})"));
                 }
                 last_t = t;
-                if kind == "isp" {
-                    let _: u32 = field(&v, "rounds").map_err(|e| format!("line {n}: {e}"))?;
-                } else {
-                    let link: u32 = field(&v, "link").map_err(|e| format!("line {n}: {e}"))?;
-                    if link >= n_links {
-                        return Err(format!(
-                            "line {n}: link {link} out of range ({n_links} links)"
-                        ));
+                match kind {
+                    "isp" => {
+                        let _: u32 = field(&v, "rounds").map_err(|e| format!("line {n}: {e}"))?;
+                    }
+                    "pkt" => packets.push(
+                        packet_event(&v, t, n_links, n_modules)
+                            .map_err(|e| format!("line {n}: {e}"))?,
+                    ),
+                    _ => {
+                        index(&v, "link", n_links).map_err(|e| format!("line {n}: {e}"))?;
                     }
                 }
                 if kind == "mode" {
@@ -184,6 +235,7 @@ pub fn parse_jsonl(text: &str) -> Result<TraceSummary, String> {
         n_links,
         events_by_kind: EVENT_KINDS.iter().zip(counts).map(|(k, c)| (*k, c)).collect(),
         samples,
+        packets,
         events_seen,
         events_written,
         truncated,
@@ -262,9 +314,7 @@ pub fn epoch_csv(samples: &[EpochSample]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        LinkSample, ObsConfig, ObsEvent, ObsEventKind, Recorder, TimeSeriesRecorder, TraceMeta,
-    };
+    use crate::{LinkSample, ObsConfig, ObsEvent, ObsEventKind, TimeSeriesRecorder, TraceMeta};
 
     fn meta() -> TraceMeta {
         TraceMeta {
@@ -397,6 +447,39 @@ mod tests {
 
         let unknown = text.replace("\"ev\":\"wake\"", "\"ev\":\"warp\"");
         assert!(parse_jsonl(&unknown).unwrap_err().contains("unknown event kind"));
+
+        // Every point the recorder writes reads back. The header names 2
+        // links and 1 module; `pkt` lines must stay inside them and name
+        // a known point.
+        let wake = "{\"t\":0,\"ev\":\"wake\",\"link\":1}";
+        assert!(text.contains(wake), "{text}");
+        for point in [
+            PktPoint::Inject,
+            PktPoint::LinkStart(1),
+            PktPoint::LinkDone(1),
+            PktPoint::VaultEnqueue(0),
+            PktPoint::VaultDone(0),
+            PktPoint::Retire,
+        ] {
+            let kind = ObsEventKind::Pkt { packet: 3, kind: "ReadRequest", point };
+            let line = TimeSeriesRecorder::event_line(&ObsEvent { t_ps: 0, kind });
+            let s = parse_jsonl(&text.replacen(wake, &line, 1)).expect("valid pkt line");
+            let kind = "ReadRequest".to_owned();
+            assert_eq!(s.packets, [PacketEvent { t_ps: 0, packet: 3, kind, point }]);
+        }
+        let pkt = |tail: &str| {
+            let line =
+                format!("{{\"t\":0,\"ev\":\"pkt\",\"packet\":3,\"kind\":\"ReadRequest\",{tail}}}");
+            text.replacen(wake, &line, 1)
+        };
+        for (tail, err) in [
+            ("\"point\":\"link_done\",\"link\":2", "line 2: link 2 out of range (2 links)"),
+            ("\"point\":\"vault_done\",\"module\":1", "line 2: module 1 out of range (1 modules)"),
+            ("\"point\":\"teleport\"", "line 2: unknown packet point \"teleport\""),
+        ] {
+            let got = parse_jsonl(&pkt(tail)).unwrap_err();
+            assert!(got.contains(err), "{tail}: {got}");
+        }
     }
 
     #[test]

@@ -978,7 +978,8 @@ mod tests {
         )
         .unwrap();
         let job = m.resolve().unwrap();
-        assert!(job.fingerprint.starts_with("v10|"), "{}", job.fingerprint);
+        let version = format!("v{}|", memnet_bench::CACHE_SCHEMA_VERSION);
+        assert!(job.fingerprint.starts_with(&version), "{}", job.fingerprint);
         assert!(job.fingerprint.contains("wl=mixD"));
         assert!(job.fingerprint.contains("seed=7"));
         assert!(job.cache_eligible);

@@ -6,7 +6,7 @@
 //!        [--scale small|big] [--policy fp|unaware|aware|static]
 //!        [--mechanism fp|vwl|roo|vwl+roo|dvfs|dvfs+roo]
 //!        [--alpha PCT] [--eval-us N] [--seed N] [--channels K]
-//!        [--faults SPEC] [--trace-csv FILE] [--obs] [--trace FILE]
+//!        [--faults SPEC] [--obs] [--trace FILE] [--trace-packets]
 //!        [--trace-every N] [--trace-max N] [--json] [--compare]
 //! memnet trace FILE [--csv OUT]
 //! ```
@@ -19,10 +19,12 @@
 //! additionally streams schema-versioned JSONL events to a file
 //! (decimated by `--trace-every`, capped at `--trace-max`). The
 //! `MEMNET_TRACE`, `MEMNET_TRACE_EVERY` and `MEMNET_TRACE_MAX`
-//! environment variables supply defaults for the three flags. The
-//! `memnet trace` subcommand validates a trace file and prints its
-//! per-link residency table; `--csv` also writes the epoch time series
-//! as CSV for plotting.
+//! environment variables supply defaults for the three flags.
+//! `--trace-packets` adds every packet's milestones (inject, link
+//! start/done, vault enqueue/done, retire) to the trace as `pkt` events
+//! and needs a trace file. The `memnet trace` subcommand validates a
+//! trace file and prints its per-link residency table; `--csv` also
+//! writes the epoch time series as CSV for plotting.
 //!
 //! `memnet record FILE` dumps the configured workload's request stream
 //! (covering the evaluation period) to a schema-versioned JSONL trace;
@@ -83,7 +85,6 @@ struct Args {
     seed: Option<u64>,
     channels: usize,
     faults: FaultConfig,
-    trace_csv: Option<String>,
     obs: ObsConfig,
     energy_backend: EnergyBackendKind,
     json: bool,
@@ -95,7 +96,7 @@ fn usage() -> &'static str {
      \x20             [--scale small|big] [--policy fp|unaware|aware|static]\n\
      \x20             [--mechanism fp|vwl|roo|vwl+roo|dvfs|dvfs+roo] [--alpha PCT]\n\
      \x20             [--eval-us N] [--seed N] [--channels K] [--faults SPEC]\n\
-     \x20             [--trace-csv FILE] [--obs] [--trace FILE] [--trace-every N]\n\
+     \x20             [--obs] [--trace FILE] [--trace-packets] [--trace-every N]\n\
      \x20             [--trace-max N] [--json] [--compare] [--list-workloads]\n\
      \x20             [--energy-backend analytical|idd]\n\
      \x20      memnet trace FILE [--csv OUT]\n\
@@ -116,6 +117,8 @@ fn usage() -> &'static str {
      \x20 --obs:         keep per-epoch time-series samples in the report\n\
      \x20 --trace FILE:  stream JSONL events to FILE (default MEMNET_TRACE;\n\
      \x20                decimation/cap default MEMNET_TRACE_EVERY/_MAX)\n\
+     \x20 --trace-packets: add each packet's milestones (inject, link, vault,\n\
+     \x20                retire) to the --trace file as `pkt` events\n\
      \x20 trace FILE:    validate a JSONL trace and print its residency table;\n\
      \x20                --csv OUT also writes the epoch time series as CSV\n\
      \x20 record FILE:   dump the configured workload's request stream (covering\n\
@@ -166,7 +169,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         seed: None,
         channels: 1,
         faults: FaultConfig::from_env(),
-        trace_csv: None,
         obs: ObsConfig::from_env(),
         energy_backend: EnergyBackendKind::from_env(),
         json: false,
@@ -215,18 +217,24 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             }
             "--channels" => {
                 args.channels =
-                    value("--channels")?.parse().map_err(|e| format!("bad channels: {e}"))?
+                    value("--channels")?.parse().map_err(|e| format!("bad channels: {e}"))?;
+                if args.channels == 0 {
+                    return Err("bad channels: must be at least 1".to_owned());
+                }
             }
             "--faults" => {
                 args.faults = FaultConfig::parse(&value("--faults")?)
                     .map_err(|e| format!("bad fault scenario: {e}"))?
             }
-            "--trace-csv" => args.trace_csv = Some(value("--trace-csv")?),
             "--obs" => args.obs.enabled = true,
             "--trace" => args.obs.trace_path = Some(value("--trace")?),
+            "--trace-packets" => args.obs.packets = true,
             "--trace-every" => {
                 args.obs.trace_every =
-                    value("--trace-every")?.parse().map_err(|e| format!("bad trace-every: {e}"))?
+                    value("--trace-every")?.parse().map_err(|e| format!("bad trace-every: {e}"))?;
+                if args.obs.trace_every == 0 {
+                    return Err("bad trace-every: must be at least 1".to_owned());
+                }
             }
             "--trace-max" => {
                 args.obs.trace_max =
@@ -267,6 +275,9 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?}\n{}", usage())),
         }
     }
+    if args.obs.packets && args.obs.trace_path.is_none() {
+        return Err("--trace-packets needs a trace file (--trace FILE or MEMNET_TRACE)".to_owned());
+    }
     Ok(args)
 }
 
@@ -288,8 +299,7 @@ fn build(args: &Args, replay: Option<Arc<RequestTrace>>) -> Result<SimConfig, St
         .seed(seed)
         .faults(args.faults.clone())
         .obs(args.obs.clone())
-        .energy_backend(args.energy_backend)
-        .trace_limit(if args.trace_csv.is_some() { 1_000_000 } else { 0 });
+        .energy_backend(args.energy_backend);
     if let Some(trace) = replay {
         builder = builder.replay(trace);
     }
@@ -1153,17 +1163,6 @@ fn run_and_report(args: &Args, cfg: SimConfig) -> ExitCode {
     }
 
     let report = cfg.run();
-    if let Some(path) = &args.trace_csv {
-        let mut trace = memnet::core::Trace::with_limit(report.trace.len().max(1));
-        for e in &report.trace {
-            trace.record(*e);
-        }
-        if let Err(e) = std::fs::write(path, trace.to_csv()) {
-            memnet_warn!("error writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        memnet_log!("wrote {} trace events to {path}", report.trace.len());
-    }
     if args.json {
         match serde_json_report(&report) {
             Ok(s) => println!("{s}"),

@@ -268,10 +268,20 @@ fn run_manifest_rejections_carry_field_path_and_line() {
     assert_eq!(out.status.code(), Some(4), "rejected manifests exit 4");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("run.eval_us (line 6)"), "names the field and its line: {err}");
-    let out = memnet(&["--workload", "mixD", "--eval-us", "18446744073710"]);
-    assert!(!out.status.success(), "an overflowing --eval-us must fail");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("bad eval-us"), "names the flag: {err}");
+    // Flag values the env and manifest paths refuse fail at the CLI too,
+    // naming the flag: an overflowing window, a decimation of 0, zero
+    // channels and packet tracing with no trace file to hold it.
+    for (flags, named) in [
+        (&["--eval-us", "18446744073710"][..], "bad eval-us"),
+        (&["--trace-every", "0"], "bad trace-every"),
+        (&["--channels", "0"], "bad channels"),
+        (&["--trace-packets"], "--trace-packets needs a trace file"),
+    ] {
+        let out = memnet(&[&["--workload", "mixD"], flags].concat());
+        assert!(!out.status.success(), "{flags:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(named), "{flags:?} names the flag: {err}");
+    }
 
     // An α between two 0.1% grid points has no cache identity of its own.
     std::fs::write(

@@ -1,64 +1,35 @@
-//! Integration tests for the extension features: trace capture,
+//! Integration tests for the extension features: packet tracing,
 //! multi-channel simulation, text reports and the weighted static widths.
 
 use memnet::core::multichannel::run_channels;
-use memnet::core::{report_text, PolicyKind, SimConfig, TracePoint};
+use memnet::core::{report_text, PolicyKind, SimConfig};
 use memnet::net::{Topology, TopologyKind};
+use memnet::obs::ObsConfig;
 use memnet::policy::{weighted_width_decisions, Mechanism};
 use memnet_simcore::SimDuration;
 
 #[test]
-fn trace_capture_records_complete_transactions() {
-    let report = SimConfig::builder()
-        .workload("mixE")
-        .topology(TopologyKind::TernaryTree)
-        .eval_period(SimDuration::from_us(60))
-        .trace_limit(100_000)
-        .build()
-        .unwrap()
-        .run();
-    assert!(!report.trace.is_empty(), "tracing was enabled but recorded nothing");
-
-    // Pick a retired transaction and verify its milestone ordering.
-    let retired =
-        report.trace.iter().find(|e| e.point == TracePoint::Retire).expect("some read retired");
-    let tx: Vec<_> = report.trace.iter().filter(|e| e.packet == retired.packet).collect();
-    assert!(tx.len() >= 4, "a read needs inject/link/vault/retire milestones");
-    // Time-ordered.
-    for w in tx.windows(2) {
-        assert!(w[1].time >= w[0].time);
-    }
-    assert_eq!(tx.first().unwrap().point, TracePoint::Inject);
-    assert_eq!(tx.last().unwrap().point, TracePoint::Retire);
-    // It must have visited a vault between injection and retirement.
-    assert!(tx.iter().any(|e| matches!(e.point, TracePoint::VaultEnqueue(_))));
-    assert!(tx.iter().any(|e| matches!(e.point, TracePoint::VaultDone(_))));
-}
-
-#[test]
-fn tracing_disabled_by_default_and_costs_nothing() {
-    let report = SimConfig::builder()
-        .workload("mixE")
-        .eval_period(SimDuration::from_us(30))
-        .build()
-        .unwrap()
-        .run();
-    assert!(report.trace.is_empty());
-}
-
-#[test]
 fn tracing_does_not_perturb_the_simulation() {
-    let run = |limit: usize| {
+    let run = |obs: ObsConfig| {
         SimConfig::builder()
             .workload("mixD")
             .eval_period(SimDuration::from_us(50))
-            .trace_limit(limit)
+            .obs(obs)
             .build()
             .unwrap()
             .run()
     };
-    let with = run(10_000);
-    let without = run(0);
+    let path = std::env::temp_dir()
+        .join(format!("memnet-extensions-packets-{}.jsonl", std::process::id()));
+    let with = run(ObsConfig {
+        trace_path: Some(path.to_string_lossy().into_owned()),
+        packets: true,
+        ..ObsConfig::off()
+    });
+    let without = run(ObsConfig::off());
+    let text = std::fs::read_to_string(&path).expect("trace file written");
+    let _ = std::fs::remove_file(&path);
+    assert!(text.contains(r#""ev":"pkt""#), "packet tracing was on but recorded nothing");
     assert_eq!(with.completed_reads, without.completed_reads);
     assert_eq!(with.injected_accesses, without.injected_accesses);
     assert!((with.power.energy.total() - without.power.energy.total()).abs() < 1e-12);

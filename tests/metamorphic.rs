@@ -8,6 +8,7 @@ use memnet::net::link::{
 };
 use memnet::net::mech::{BwMode, VwlWidth};
 use memnet::net::TopologyKind;
+use memnet::obs::ObsConfig;
 use memnet::policy::Mechanism;
 use memnet::power::HmcPowerModel;
 use memnet_simcore::SimDuration;
@@ -149,15 +150,13 @@ fn sweep_is_deterministic_across_thread_counts() {
     }
 }
 
-/// The observability recorder must be a pure observer: an obs-enabled run
+/// The observability recorder must be a pure observer: an observed run
 /// with its `obs` section stripped serializes byte-identically to the
-/// obs-off run, and injecting an explicit `NullRecorder` is
-/// indistinguishable from the default construction path.
+/// obs-off run, whether it samples epochs or traces every packet
+/// milestone to a file.
 #[test]
 fn obs_recorder_never_perturbs_results() {
-    let cfg = |enabled: bool| {
-        let mut obs = memnet::obs::ObsConfig::off();
-        obs.enabled = enabled;
+    let cfg = |obs: ObsConfig| {
         base("mixD")
             .policy(PolicyKind::NetworkAware)
             .mechanism(Mechanism::VwlRoo)
@@ -166,24 +165,29 @@ fn obs_recorder_never_perturbs_results() {
             .build()
             .unwrap()
     };
-    let off = cfg(false).run();
-    let mut on = cfg(true).run();
+    let off = cfg(ObsConfig::off()).run();
     assert!(off.obs.is_none());
-    assert!(on.obs.take().is_some_and(|o| !o.epochs.is_empty()));
-    assert_eq!(
-        serde::json::to_string(&off),
-        serde::json::to_string(&on),
-        "enabling the recorder must not perturb a single bit outside the obs section"
-    );
-
-    let explicit_null = memnet::core::Engine::new(cfg(false))
-        .with_recorder(Box::new(memnet::obs::NullRecorder))
-        .run();
-    assert_eq!(
-        serde::json::to_string(&off),
-        serde::json::to_string(&explicit_null),
-        "an injected NullRecorder must match the default construction path"
-    );
+    let trace = std::env::temp_dir()
+        .join(format!("memnet-metamorphic-packets-{}.jsonl", std::process::id()));
+    let sampled = ObsConfig { enabled: true, ..ObsConfig::off() };
+    let packets = ObsConfig {
+        trace_path: Some(trace.to_string_lossy().into_owned()),
+        packets: true,
+        ..ObsConfig::off()
+    };
+    for obs in [sampled, packets] {
+        let mut on = cfg(obs.clone()).run();
+        assert!(on.obs.take().is_some_and(|o| !o.epochs.is_empty()));
+        assert_eq!(
+            serde::json::to_string(&off),
+            serde::json::to_string(&on),
+            "{obs:?} must not perturb a single bit outside the obs section"
+        );
+    }
+    let text = std::fs::read_to_string(&trace).expect("trace file written");
+    let _ = std::fs::remove_file(&trace);
+    let s = memnet::obs::summary::parse_jsonl(&text).expect("valid trace");
+    assert!(s.event_count("pkt") > 0, "the packet input traced no packets");
 }
 
 /// Thread-count invariance must survive obs being on: per-run recorders

@@ -1,10 +1,12 @@
 //! End-to-end tests of the observability subsystem against the real
 //! engine: a traced run must emit a schema-valid JSONL stream whose epoch
 //! samples tile the evaluation window and whose per-epoch energies sum to
-//! the aggregate report energy; decimation and ring bounds must hold.
+//! the aggregate report energy; decimation and ring bounds must hold, and
+//! packet milestones must follow each transaction end to end.
 
 use memnet::core::{PolicyKind, SimConfig};
-use memnet::obs::{summary, ObsConfig};
+use memnet::net::TopologyKind;
+use memnet::obs::{summary, ObsConfig, PktPoint};
 use memnet::policy::Mechanism;
 use memnet_simcore::SimDuration;
 
@@ -102,6 +104,42 @@ fn decimation_and_cap_bound_the_event_stream() {
     let s = summary::parse_jsonl(&text).expect("capped trace still valid");
     assert_eq!(s.events_written, 10);
     assert!(s.truncated);
+}
+
+#[test]
+fn trace_capture_records_complete_transactions() {
+    let path = unique_path("packets");
+    let obs = ObsConfig {
+        trace_path: Some(path.to_string_lossy().into_owned()),
+        packets: true,
+        ..ObsConfig::off()
+    };
+    SimConfig::builder()
+        .workload("mixE")
+        .topology(TopologyKind::TernaryTree)
+        .eval_period(SimDuration::from_us(60))
+        .obs(obs)
+        .build()
+        .unwrap()
+        .run();
+    let text = std::fs::read_to_string(&path).expect("trace file written");
+    let _ = std::fs::remove_file(&path);
+    let s = summary::parse_jsonl(&text).expect("schema-valid trace");
+    assert!(!s.packets.is_empty(), "packet tracing was on but recorded nothing");
+
+    // Pick a retired read and check its milestones.
+    let retired =
+        s.packets.iter().find(|e| e.point == PktPoint::Retire).expect("some read retired");
+    let tx: Vec<_> = s.packets.iter().filter(|e| e.packet == retired.packet).collect();
+    assert!(tx.len() >= 4, "a read needs inject/link/vault/retire milestones");
+    for w in tx.windows(2) {
+        assert!(w[1].t_ps >= w[0].t_ps, "milestones go back in time: {w:?}");
+    }
+    assert_eq!(tx.first().unwrap().point, PktPoint::Inject);
+    assert_eq!(tx.last().unwrap().point, PktPoint::Retire);
+    // It must have visited a vault between injection and retirement.
+    assert!(tx.iter().any(|e| matches!(e.point, PktPoint::VaultEnqueue(_))));
+    assert!(tx.iter().any(|e| matches!(e.point, PktPoint::VaultDone(_))));
 }
 
 #[test]
