@@ -14,11 +14,11 @@
 //!
 //! `v` is [`CACHE_SCHEMA_VERSION`]; lines with any other version (or
 //! without that header) are skipped, so stale caches degrade to misses
-//! rather than errors. `fp` is the full configuration fingerprint
-//! produced by [`crate::Key::fingerprint_at`], which folds in the schema
-//! version, the run-affecting [`crate::Settings`] fields (evaluation
-//! period and `obs`), the cell's seed and every `Key` field — any change
-//! to any of them invalidates the entry.
+//! rather than errors. `fp` is [`fingerprint`] of the [`SimConfig`] that
+//! ran: it folds in the schema version and every configuration field
+//! except the audit level (audit checks never change results), so a
+//! change to any of them invalidates the entry. The figure matrix, sweep
+//! shards and the `memnet serve` daemon all name their results this way.
 //!
 //! A [`DiskCache`] is an index, not a store of reports. [`DiskCache::open`]
 //! reads each file line by line and records where each fingerprint's line
@@ -43,7 +43,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use memnet_core::RunReport;
+use memnet_core::{RunReport, SimConfig, TrafficSpec};
+use memnet_net::mech::RooParams;
+use memnet_obs::ObsConfig;
 use serde::{json, Deserialize, Serialize};
 
 /// Bump when the serialized [`RunReport`] layout (or the fingerprint
@@ -69,6 +71,94 @@ use serde::{json, Deserialize, Serialize};
 /// 11 = `RunReport` lost the always-empty `trace` field (packet
 /// milestones moved to the obs trace file as `pkt` events).
 pub const CACHE_SCHEMA_VERSION: u32 = 11;
+
+/// The cache identity of a run: equal fingerprints mean byte-identical
+/// reports. It reads
+/// `v11|eval_ps|seed|wl|topo|scale|policy|mech|alpha|roo|map|faults|obs|src|calib|energy`,
+/// with α in whole tenths of a percent, the ROO wakeup latency in whole
+/// ns, a replayed trace's digest (`src=trace:…`) and a fitted IDD model's
+/// (`calib=calib:…`); generators are named by their workload name. Every
+/// other field (and a wakeup latency off the whole ns, as `roo_ps`)
+/// follows as `|name=value` only when it differs from the
+/// [`SimConfig::builder`] default, so configurations that leave it alone
+/// keep their fingerprints. The audit level is left out: audit checks
+/// never change results.
+pub fn fingerprint(cfg: &SimConfig) -> String {
+    use std::fmt::Write;
+    // Destructured without `..`: a new field does not compile until it is
+    // decided how it enters the fingerprint.
+    let SimConfig {
+        workload,
+        topology,
+        scale,
+        policy,
+        mechanism,
+        alpha,
+        epoch,
+        eval_period,
+        roo_params,
+        mapping,
+        seed,
+        max_outstanding_reads: reads,
+        write_buffer,
+        dram,
+        isp_iterations,
+        wake_chaining,
+        rescue_pool,
+        audit: _,
+        faults,
+        obs,
+        source,
+        energy_backend,
+        calibration,
+    } = cfg;
+    let RooParams { wakeup_latency, off_power_fraction: off_power } = roo_params;
+    let ObsConfig { enabled, ring_capacity, trace_path, trace_every, trace_max, packets } = obs;
+    let src = match source {
+        TrafficSpec::Replay(trace) => format!("trace:{}", trace.digest_hex()),
+        TrafficSpec::Synthetic | TrafficSpec::Stress(_) => String::new(),
+    };
+    let calib =
+        calibration.as_ref().map_or_else(String::new, |m| format!("calib:{}", m.digest_hex()));
+    let mut fp = format!(
+        "v{CACHE_SCHEMA_VERSION}|eval_ps={}|seed={seed}|wl={}|topo={topology:?}|scale={scale:?}|\
+         policy={policy:?}|mech={mechanism:?}|alpha={}|roo={}|map={mapping:?}|faults={}|\
+         obs={enabled}|src={src}|calib={calib}|energy={}",
+        eval_period.as_ps(),
+        workload.name,
+        (alpha * 1000.0).round() as u32,
+        wakeup_latency.as_ps() / 1000,
+        faults.spec(),
+        energy_backend.label(),
+    );
+    let d = builder_defaults();
+    let mut add = |name: &str, differs: bool, value: &dyn std::fmt::Display| {
+        if differs {
+            let _ = write!(fp, "|{name}={value}");
+        }
+    };
+    add("epoch_ps", *epoch != d.epoch, &epoch.as_ps());
+    add("isp_iterations", *isp_iterations != d.isp_iterations, isp_iterations);
+    add("wake_chaining", *wake_chaining != d.wake_chaining, wake_chaining);
+    add("rescue_pool", *rescue_pool != d.rescue_pool, rescue_pool);
+    add("max_outstanding_reads", *reads != d.max_outstanding_reads, reads);
+    add("write_buffer", *write_buffer != d.write_buffer, write_buffer);
+    add("dram", *dram != d.dram, &format_args!("{dram:?}"));
+    add("roo_ps", wakeup_latency.as_ps() % 1000 != 0, &wakeup_latency.as_ps());
+    add("roo_off_power", *off_power != d.roo_params.off_power_fraction, off_power);
+    add("obs_ring_capacity", *ring_capacity != d.obs.ring_capacity, ring_capacity);
+    add("obs_trace_path", *trace_path != d.obs.trace_path, &format_args!("{trace_path:?}"));
+    add("obs_trace_every", *trace_every != d.obs.trace_every, trace_every);
+    add("obs_trace_max", *trace_max != d.obs.trace_max, trace_max);
+    add("obs_packets", *packets != d.obs.packets, packets);
+    fp
+}
+
+/// What [`SimConfig::builder`] builds when nothing is set.
+fn builder_defaults() -> &'static SimConfig {
+    static DEFAULTS: std::sync::OnceLock<SimConfig> = std::sync::OnceLock::new();
+    DEFAULTS.get_or_init(|| SimConfig::builder().build().expect("the builder defaults are valid"))
+}
 
 /// One cache line as [`DiskCache::store`] writes it.
 #[derive(Debug, Serialize)]
@@ -399,10 +489,13 @@ fn index_file(file: &Arc<Path>, index: &mut HashMap<String, Slot>) -> std::io::R
 mod tests {
     use super::*;
     use crate::{Key, Settings};
-    use memnet_core::{NetworkScale, PolicyKind, SimConfig};
+    use memnet_core::{AddressMapping, NetworkScale, PolicyKind};
+    use memnet_faults::FaultConfig;
     use memnet_net::TopologyKind;
     use memnet_policy::Mechanism;
-    use memnet_simcore::SimDuration;
+    use memnet_power::{EnergyBackendKind, IddModel};
+    use memnet_simcore::{AuditLevel, SimDuration};
+    use memnet_workload::catalog;
 
     fn unique_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -601,15 +694,16 @@ mod tests {
     fn real_line() -> &'static str {
         static LINE: std::sync::OnceLock<String> = std::sync::OnceLock::new();
         LINE.get_or_init(|| {
-            let fp = Key::main(
+            let settings = Settings::default();
+            let key = Key::main(
                 "mixD",
                 TopologyKind::DaisyChain,
                 NetworkScale::Small,
                 PolicyKind::FullPower,
                 Mechanism::FullPower,
                 0.05,
-            )
-            .fingerprint(&Settings::default());
+            );
+            let fp = fingerprint(&key.config(&settings, settings.seed));
             json::to_string(&Entry { v: CACHE_SCHEMA_VERSION, fp, report: tiny_report().into() })
         })
     }
@@ -706,7 +800,8 @@ mod tests {
             seed: 1,
             ..Settings::default()
         };
-        let fp = k.fingerprint(&s);
+        let fp_of = |k: &Key, s: &Settings| fingerprint(&k.config(s, s.seed));
+        let fp = fp_of(&k, &s);
         assert!(fp.starts_with(&format!("v{CACHE_SCHEMA_VERSION}|")));
         assert!(fp.contains("wl=mixD"));
 
@@ -715,19 +810,152 @@ mod tests {
         // can affect results).
         let mut other = s.clone();
         other.seed = 2;
-        assert_ne!(k.fingerprint(&other), fp);
+        assert_ne!(fp_of(&k, &other), fp);
         other = s.clone();
         other.eval_period = SimDuration::from_us(21);
-        assert_ne!(k.fingerprint(&other), fp);
+        assert_ne!(fp_of(&k, &other), fp);
         other = s.clone();
         other.obs = true;
-        assert_ne!(k.fingerprint(&other), fp);
+        assert_ne!(fp_of(&k, &other), fp);
         other = s.clone();
         other.threads = 9;
         other.shard = crate::shard::Shard { index: 1, of: 3 };
-        assert_eq!(k.fingerprint(&other), fp);
+        assert_eq!(fp_of(&k, &other), fp);
         let mut k2 = k.clone();
         k2.alpha_tenths_pct += 1;
-        assert_ne!(k2.fingerprint(&s), fp);
+        assert_ne!(fp_of(&k2, &s), fp);
+    }
+
+    fn mixd(eval_us: u64, seed: u64) -> SimConfig {
+        SimConfig::builder()
+            .workload("mixD")
+            .eval_period(SimDuration::from_us(eval_us))
+            .seed(seed)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn every_field_but_the_audit_level_changes_the_fingerprint() {
+        let base = mixd(20, 7);
+        // Destructured without `..`, like `fingerprint`: a new field does
+        // not compile here until it has a mutation below.
+        let SimConfig {
+            workload: _,
+            topology: _,
+            scale: _,
+            policy: _,
+            mechanism: _,
+            alpha: _,
+            epoch: _,
+            eval_period: _,
+            roo_params: RooParams { wakeup_latency: _, off_power_fraction: _ },
+            mapping: _,
+            seed: _,
+            max_outstanding_reads: _,
+            write_buffer: _,
+            dram: _,
+            isp_iterations: _,
+            wake_chaining: _,
+            rescue_pool: _,
+            audit: _,
+            faults: _,
+            obs:
+                ObsConfig {
+                    enabled: _,
+                    ring_capacity: _,
+                    trace_path: _,
+                    trace_every: _,
+                    trace_max: _,
+                    packets: _,
+                },
+            source: _,
+            energy_backend: _,
+            calibration: _,
+        } = &base;
+        type Mutation = (&'static str, fn(&mut SimConfig));
+        let mutations: [Mutation; 29] = [
+            ("workload", |c| c.workload = catalog::by_name("lu.D").unwrap()),
+            ("topology", |c| c.topology = TopologyKind::Star),
+            ("scale", |c| c.scale = NetworkScale::Big),
+            ("policy", |c| c.policy = PolicyKind::NetworkAware),
+            ("mechanism", |c| c.mechanism = Mechanism::Vwl),
+            ("alpha", |c| c.alpha = 0.051),
+            ("epoch", |c| c.epoch = SimDuration::from_us(50)),
+            ("eval_period", |c| c.eval_period = SimDuration::from_us(21)),
+            ("roo wakeup", |c| c.roo_params = RooParams::slow()),
+            ("roo wakeup ps", |c| c.roo_params.wakeup_latency = SimDuration::from_ps(14_500)),
+            ("roo off power", |c| c.roo_params.off_power_fraction = 0.02),
+            ("mapping", |c| c.mapping = AddressMapping::PageInterleaved),
+            ("seed", |c| c.seed = 8),
+            ("max_outstanding_reads", |c| c.max_outstanding_reads = 32),
+            ("write_buffer", |c| c.write_buffer = 64),
+            ("dram", |c| c.dram.vault_buffer_entries = 8),
+            ("isp_iterations", |c| c.isp_iterations = 1),
+            ("wake_chaining", |c| c.wake_chaining = false),
+            ("rescue_pool", |c| c.rescue_pool = false),
+            ("faults", |c| c.faults = Arc::new(FaultConfig::parse("ber=1e-6").unwrap())),
+            ("obs enabled", |c| c.obs.enabled = true),
+            ("obs ring_capacity", |c| c.obs.ring_capacity = 8),
+            ("obs trace_path", |c| c.obs.trace_path = Some("t.jsonl".to_owned())),
+            ("obs trace_every", |c| c.obs.trace_every = 2),
+            ("obs trace_max", |c| c.obs.trace_max = 5),
+            ("obs packets", |c| c.obs.packets = true),
+            ("source", |c| {
+                let trace = mixd(2, 7).record_trace(100_000).unwrap();
+                c.source = TrafficSpec::Replay(Arc::new(trace));
+            }),
+            ("energy_backend", |c| c.energy_backend = EnergyBackendKind::Idd),
+            ("calibration", |c| c.calibration = Some(Arc::new(IddModel::hmc_gen2()))),
+        ];
+        let fp = fingerprint(&base);
+        let mut seen = std::collections::HashSet::from([fp.clone()]);
+        for (name, mutate) in mutations {
+            let mut changed = base.clone();
+            mutate(&mut changed);
+            assert!(seen.insert(fingerprint(&changed)), "{name} must change the fingerprint");
+        }
+        // Audit checks never change results.
+        let audited = SimConfig { audit: AuditLevel::Full, ..base.clone() };
+        assert_eq!(fingerprint(&audited), fp);
+        let quiet = SimConfig { audit: AuditLevel::Off, ..base };
+        assert_eq!(fingerprint(&quiet), fp);
+    }
+
+    #[test]
+    fn a_replay_is_named_by_its_trace_digest() {
+        let replay = |seed| {
+            let trace = mixd(2, seed).record_trace(100_000).unwrap();
+            let hex = trace.digest_hex();
+            let cfg = SimConfig::builder()
+                .replay(Arc::new(trace))
+                .eval_period(SimDuration::from_us(2))
+                .seed(7)
+                .build()
+                .unwrap();
+            (fingerprint(&cfg), hex)
+        };
+        let ((a, a_hex), (b, b_hex)) = (replay(7), replay(8));
+        assert_ne!(a_hex, b_hex);
+        assert!(a.contains(&format!("|src=trace:{a_hex}|")), "{a}");
+        assert!(b.contains(&format!("|src=trace:{b_hex}|")), "{b}");
+        assert_ne!(a, fingerprint(&mixd(2, 7)), "a replay is not the live run's result");
+    }
+
+    #[test]
+    fn a_calibrated_run_is_named_by_its_model_digest() {
+        let calibrated = |model: IddModel| {
+            let hex = model.digest_hex();
+            let cfg = SimConfig::builder().workload("mixD").calibration(model).build().unwrap();
+            assert_eq!(cfg.energy_backend, EnergyBackendKind::Idd, "calibration selects idd");
+            (fingerprint(&cfg), hex)
+        };
+        let stock = IddModel::hmc_gen2();
+        let mut hot = stock.clone();
+        hot.idd4r *= 1.1;
+        let ((a, a_hex), (b, b_hex)) = (calibrated(stock), calibrated(hot));
+        assert_ne!(a, b);
+        assert!(a.contains(&format!("|calib=calib:{a_hex}|energy=idd")), "{a}");
+        assert!(b.contains(&format!("|calib=calib:{b_hex}|energy=idd")), "{b}");
     }
 }

@@ -161,14 +161,12 @@ fn fig17_keys() -> Vec<Key> {
     fp_and_managed(&BOTH_POLICIES, &MAIN_MECHS, &ALPHAS)
 }
 
-/// Ensures the key set of the named registry figure ([`figure_keys`]).
-/// Registry keys are simulable by construction — no replay or
-/// calibration identities ever enter [`figure_keys`] — so the only
-/// failure [`Matrix::ensure`] can report here is a bug in the registry
-/// itself.
+/// Ensures the key set of the named registry figure ([`figure_keys`])
+/// under the base seed, so its renderer can read every cell with
+/// [`Matrix::get`].
 fn ensure(matrix: &mut Matrix, figure: &str, settings: &Settings) {
     let keys = figure_keys(figure).expect("a registry figure name");
-    matrix.ensure(&keys, settings).expect("registry figure keys are always simulable");
+    matrix.ensure(&keys, settings);
 }
 
 fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
@@ -802,9 +800,7 @@ pub fn fig18(matrix: &mut Matrix, settings: &Settings) -> String {
                         let mut k = Key::main(w, topo, scale, policy, mech, 0.05);
                         k.roo_wakeup_ns = 20;
                         let r = matrix.get(&k);
-                        let mut base = k.baseline();
-                        base.roo_wakeup_ns = 14; // FP baseline has no ROO anyway
-                        let b = matrix.get(&base);
+                        let b = matrix.get(&k.baseline());
                         red.push(r.power_reduction_vs(b));
                         degr.push(r.degradation_vs(b));
                     }
@@ -843,10 +839,8 @@ fn sec7a_keys() -> Vec<Key> {
             );
             stat.mapping = AddressMapping::PageInterleaved;
             keys.push(stat.clone());
+            // The baseline keeps the interleaved mapping.
             keys.push(stat.baseline());
-            let mut fp_interleaved = stat.baseline();
-            fp_interleaved.mapping = AddressMapping::PageInterleaved;
-            keys.push(fp_interleaved);
             keys.push(Key::main(
                 w,
                 topo,
@@ -887,8 +881,7 @@ pub fn sec7a(matrix: &mut Matrix, settings: &Settings) -> String {
                 0.05,
             );
             stat.mapping = AddressMapping::PageInterleaved;
-            let mut fp_int = stat.baseline();
-            fp_int.mapping = AddressMapping::PageInterleaved;
+            let fp_int = stat.baseline();
             let aware = Key::main(
                 w,
                 topo,

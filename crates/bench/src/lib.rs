@@ -31,7 +31,7 @@ pub mod matrix;
 pub mod settings;
 pub mod shard;
 
-pub use cache::{DiskCache, Location, CACHE_SCHEMA_VERSION};
+pub use cache::{fingerprint, DiskCache, Location, CACHE_SCHEMA_VERSION};
 pub use matrix::{EnsureStats, Key, Matrix};
 pub use settings::{parse_seed_list, Settings};
 pub use shard::{Shard, SweepPlan};

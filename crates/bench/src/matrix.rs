@@ -1,21 +1,26 @@
 //! The experiment matrix: a memoized store of simulation results keyed by
-//! configuration, filled by parallel sweeps.
+//! figure coordinate, filled by parallel sweeps.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use memnet_core::{AddressMapping, NetworkScale, PolicyKind, RunReport, SimConfig};
+use memnet_faults::FaultConfig;
 use memnet_net::mech::RooParams;
 use memnet_net::TopologyKind;
 use memnet_obs::ObsConfig;
 use memnet_policy::Mechanism;
 use memnet_power::EnergyBackendKind;
+use memnet_simcore::SimDuration;
 
-use crate::cache::{DiskCache, Location, CACHE_SCHEMA_VERSION};
+use crate::cache::{fingerprint, DiskCache, Location};
 use crate::settings::Settings;
 
-/// A hashable identity for one simulation configuration.
+/// A figure coordinate: one point of the paper's configuration space, by
+/// which the figures look their results up. A key is not a cache
+/// identity: [`Key::config`] builds the configuration that runs, and
+/// [`fingerprint`] of that configuration names the result.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Key {
     /// Workload name.
@@ -35,25 +40,8 @@ pub struct Key {
     /// Address mapping.
     pub mapping: AddressMapping,
     /// Canonical fault-scenario spec ([`FaultConfig::spec`]); empty for
-    /// fault-free runs, so pre-existing sweep dimensions are unaffected.
-    ///
-    /// [`FaultConfig::spec`]: memnet_faults::FaultConfig::spec
+    /// fault-free runs.
     pub faults: String,
-    /// Traffic-source identity beyond the workload name: empty for
-    /// synthetic/stress generators (whose streams are functions of
-    /// workload + seed alone), or `trace:<digest>` for a replayed request
-    /// trace. Replay keys exist so fingerprints account for trace content;
-    /// they cannot be simulated by the matrix (replay runs are CLI-driven).
-    pub source: String,
-    /// Calibration provenance of the energy backend: empty when the stock
-    /// model prices the run, or `calib:<digest>` of the calibration JSON
-    /// when a fitted [`IddModel`] replaces it. Calibrated keys exist so
-    /// manifest fingerprints distinguish results priced by different
-    /// calibrations; they cannot be simulated by the matrix (the engine
-    /// backend is injected by the caller).
-    ///
-    /// [`IddModel`]: memnet_power::IddModel
-    pub calibration: String,
     /// Which energy backend priced the run. In the key (rather than
     /// [`Settings`]) so one matrix can hold both backends' results for
     /// the same configuration side by side — the model differential
@@ -81,8 +69,6 @@ impl Key {
             roo_wakeup_ns: 14,
             mapping: AddressMapping::Contiguous,
             faults: String::new(),
-            source: String::new(),
-            calibration: String::new(),
             energy: EnergyBackendKind::Analytical,
         }
     }
@@ -98,24 +84,6 @@ impl Key {
     /// [`memnet_faults::FaultConfig::spec`].
     pub fn with_faults(&self, spec: &str) -> Key {
         Key { faults: spec.to_string(), ..self.clone() }
-    }
-
-    /// This key with a replayed-trace identity attached: the trace digest
-    /// (from [`RequestTrace::digest_hex`]) distinguishes cached results
-    /// driven by different trace contents under the same workload name.
-    ///
-    /// [`RequestTrace::digest_hex`]: memnet_workload::RequestTrace::digest_hex
-    pub fn with_replay(&self, digest_hex: &str) -> Key {
-        Key { source: format!("trace:{digest_hex}"), ..self.clone() }
-    }
-
-    /// This key priced by a calibrated energy model: the digest of the
-    /// calibration JSON distinguishes cached results priced by different
-    /// fitted [`IddModel`]s under the same backend kind.
-    ///
-    /// [`IddModel`]: memnet_power::IddModel
-    pub fn with_calibration(&self, digest_hex: &str) -> Key {
-        Key { calibration: format!("calib:{digest_hex}"), ..self.clone() }
     }
 
     /// The full-power baseline key matching this configuration. α and the
@@ -136,86 +104,34 @@ impl Key {
         f64::from(self.alpha_tenths_pct) / 1000.0
     }
 
-    /// The persistent-cache identity of this configuration under
-    /// `settings`: folds in the cache schema version, every run-affecting
-    /// settings field (evaluation period, seed and the observability
-    /// flag — the thread count and sweep shard cannot change results and
-    /// are excluded), and every key field. Equal fingerprints guarantee
-    /// byte-identical simulation results. (`MEMNET_AUDIT` is also
-    /// excluded: audit checks cannot change results, only the diagnostic
-    /// `audit` section of a cached report, which therefore reflects the
-    /// level in effect when it was first simulated.)
-    pub fn fingerprint(&self, settings: &Settings) -> String {
-        self.fingerprint_at(settings, settings.seed)
-    }
-
-    /// [`Self::fingerprint`] under an explicit seed. Multi-seed sweeps
-    /// cache each (key, seed) cell under the fingerprint a solo run with
-    /// that seed would use: every cell is an ordinary solo run.
-    pub fn fingerprint_at(&self, settings: &Settings, seed: u64) -> String {
-        format!(
-            "v{}|eval_ps={}|seed={}|wl={}|topo={:?}|scale={:?}|policy={:?}|mech={:?}|alpha={}|roo={}|map={:?}|faults={}|obs={}|src={}|calib={}|energy={}",
-            CACHE_SCHEMA_VERSION,
-            settings.eval_period.as_ps(),
-            seed,
-            self.workload,
-            self.topology,
-            self.scale,
-            self.policy,
-            self.mechanism,
-            self.alpha_tenths_pct,
-            self.roo_wakeup_ns,
-            self.mapping,
-            self.faults,
-            settings.obs,
-            self.source,
-            self.calibration,
-            self.energy.label(),
-        )
-    }
-
-    /// Builds the simulation configuration for this key, or explains why
-    /// the matrix cannot simulate it. Replay keys (`src=trace:<digest>`)
-    /// refuse matrix simulation because the trace content lives outside
-    /// the key — replay runs are CLI-driven; calibrated keys refuse
-    /// because the fitted energy backend is injected by the caller. The
-    /// error names the offending cell by its cache fingerprint so a
-    /// sweep operator can find it in the plan.
-    fn try_config(&self, settings: &Settings) -> Result<SimConfig, String> {
-        if !self.source.is_empty() {
-            return Err(format!(
-                "replay keys refuse matrix simulation (trace content is not part of the key; \
-                 replay runs are CLI-driven): {}",
-                self.fingerprint(settings)
-            ));
-        }
-        if !self.calibration.is_empty() {
-            return Err(format!(
-                "calibrated keys refuse matrix simulation (the fitted energy backend is injected \
-                 by the caller): {}",
-                self.fingerprint(settings)
-            ));
-        }
-        let roo = if self.roo_wakeup_ns == 20 { RooParams::slow() } else { RooParams::fast() };
-        let faults =
-            memnet_faults::FaultConfig::parse(&self.faults).expect("matrix fault specs are valid");
-        let mut builder = SimConfig::builder()
+    /// The configuration this key runs under `settings` (its evaluation
+    /// period and observability flag) and `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key does not describe a valid configuration (an
+    /// unknown workload, a zero α or an unparsable fault spec); figure
+    /// keys never do.
+    pub fn config(&self, settings: &Settings, seed: u64) -> SimConfig {
+        SimConfig::builder()
             .workload(self.workload)
             .topology(self.topology)
             .scale(self.scale)
             .policy(self.policy)
             .mechanism(self.mechanism)
-            .alpha(self.alpha().max(0.001))
-            .roo_params(roo)
+            .alpha(self.alpha())
+            .roo_params(RooParams {
+                wakeup_latency: SimDuration::from_ns(self.roo_wakeup_ns.into()),
+                ..RooParams::fast()
+            })
             .mapping(self.mapping)
-            .faults(faults)
+            .faults(FaultConfig::parse(&self.faults).expect("matrix fault specs are valid"))
             .eval_period(settings.eval_period)
-            .seed(settings.seed)
-            .energy_backend(self.energy);
-        if settings.obs {
-            builder = builder.obs(ObsConfig { enabled: true, ..ObsConfig::off() });
-        }
-        Ok(builder.build().expect("matrix keys are valid configurations"))
+            .seed(seed)
+            .energy_backend(self.energy)
+            .obs(ObsConfig { enabled: settings.obs, ..ObsConfig::off() })
+            .build()
+            .expect("matrix keys are valid configurations")
     }
 }
 
@@ -270,6 +186,11 @@ fn read_located(found: &[Option<Location>], threads: usize) -> Vec<Option<Arc<Ru
 /// Memoized experiment results, backed by the persistent on-disk cache
 /// when [`Settings::cache_dir`] is set.
 ///
+/// Cells are `(key, seed)` pairs. A missing cell's configuration is built
+/// once, from [`Key::config`]: its [`fingerprint`] locates the cell's
+/// cache line, and on a miss that same configuration is simulated and
+/// stored under it.
+///
 /// Each cell's report is one allocation, and the matrix is its only
 /// holder: the base-seed view and the seeded map share the same `Arc`,
 /// whether the report was simulated here or decoded from the disk cache,
@@ -320,41 +241,21 @@ impl Matrix {
     /// worker-pool job. Figures read only the base seed ([`Self::get`]);
     /// replica seeds ([`Settings::seeds`]) are for sweep plans, which
     /// hand their `(key, seed)` cells to [`Self::ensure_cells`].
-    ///
-    /// # Errors
-    ///
-    /// Fails without simulating anything if a key cannot be simulated by
-    /// the matrix (a replay or calibrated key); the message carries the
-    /// offending cell's cache fingerprint.
-    pub fn ensure(&mut self, keys: &[Key], settings: &Settings) -> Result<EnsureStats, String> {
+    pub fn ensure(&mut self, keys: &[Key], settings: &Settings) -> EnsureStats {
         let cells: Vec<(Key, u64)> = keys.iter().map(|k| (k.clone(), settings.seed)).collect();
         self.ensure_cells(&cells, settings)
     }
 
     /// [`Self::ensure`] over explicit `(key, seed)` cells — the sharded
     /// sweep entry point, where a shard may own only some seeds of a key.
-    pub fn ensure_cells(
-        &mut self,
-        cells: &[(Key, u64)],
-        settings: &Settings,
-    ) -> Result<EnsureStats, String> {
-        let stats = self.ensure_missing(cells, settings)?;
+    pub fn ensure_cells(&mut self, cells: &[(Key, u64)], settings: &Settings) -> EnsureStats {
+        let stats = self.ensure_missing(cells, settings);
         self.totals += stats;
-        Ok(stats)
+        stats
     }
 
     /// The body of [`Self::ensure_cells`].
-    fn ensure_missing(
-        &mut self,
-        cells: &[(Key, u64)],
-        settings: &Settings,
-    ) -> Result<EnsureStats, String> {
-        // Refuse unsimulable keys up front, before any cell simulates.
-        for (key, seed) in cells {
-            if !self.seeded.contains_key(&(key.clone(), *seed)) {
-                key.try_config(settings)?;
-            }
-        }
+    fn ensure_missing(&mut self, cells: &[(Key, u64)], settings: &Settings) -> EnsureStats {
         let missing: Vec<(Key, u64)> = {
             let mut seen = std::collections::HashSet::new();
             cells
@@ -372,35 +273,47 @@ impl Matrix {
         };
         stats.memoized = stats.requested - missing.len();
         if missing.is_empty() {
-            return Ok(stats);
+            return stats;
         }
 
+        // Each missing cell's configuration, built once: it names the
+        // cell's cache line, and on a miss it is what simulates.
+        let mut to_simulate: Vec<((Key, u64), SimConfig)> = missing
+            .into_iter()
+            .map(|(k, s)| {
+                let cfg = k.config(settings, s);
+                ((k, s), cfg)
+            })
+            .collect();
         // Second chance: the persistent cache. Only the hits are read and
         // decoded, spread over the sweep's threads.
-        let mut to_simulate: Vec<(Key, u64)> = Vec::with_capacity(missing.len());
+        let mut fingerprints: Vec<String> = Vec::new();
         if let Some(disk) = self.disk_for(settings) {
-            let found: Vec<Option<Location>> =
-                missing.iter().map(|(k, s)| disk.locate(&k.fingerprint_at(settings, *s))).collect();
-            let mut hits: Vec<((Key, u64), Arc<RunReport>)> = Vec::new();
+            let fps: Vec<String> = to_simulate.iter().map(|(_, cfg)| fingerprint(cfg)).collect();
+            let found: Vec<Option<Location>> = fps.iter().map(|fp| disk.locate(fp)).collect();
             let reports = read_located(&found, settings.threads);
-            for ((cell, at), report) in missing.into_iter().zip(found).zip(reports) {
+            let mut hits: Vec<((Key, u64), Arc<RunReport>)> = Vec::new();
+            let mut misses = Vec::new();
+            for ((pending, fp), (at, report)) in
+                to_simulate.into_iter().zip(fps).zip(found.into_iter().zip(reports))
+            {
                 match report {
-                    Some(r) => hits.push((cell, r)),
+                    Some(r) => hits.push((pending.0, r)),
                     None => {
                         // A line that no longer reads is a miss from now on.
                         if let Some(at) = at {
                             disk.forget(&at);
                         }
-                        to_simulate.push(cell);
+                        misses.push(pending);
+                        fingerprints.push(fp);
                     }
                 }
             }
+            to_simulate = misses;
             stats.cache_hits = hits.len();
             for ((k, s), r) in hits {
                 self.insert(k, s, settings, r);
             }
-        } else {
-            to_simulate = missing;
         }
         stats.simulated = to_simulate.len();
         memnet_simcore::memnet_log!(
@@ -414,32 +327,22 @@ impl Matrix {
             settings.eval_period
         );
         if to_simulate.is_empty() {
-            return Ok(stats);
+            return stats;
         }
 
         // One pool job per missing cell, in plan order.
-        let configs = to_simulate
-            .iter()
-            .map(|(k, s)| {
-                let mut cfg = k.try_config(settings)?;
-                cfg.seed = *s;
-                Ok(cfg)
-            })
-            .collect::<Result<Vec<SimConfig>, String>>()?;
-        let reports = memnet_core::sweep(configs, settings.threads);
-        let fresh: Vec<(Key, u64, Arc<RunReport>)> =
-            to_simulate.into_iter().zip(reports).map(|((k, s), r)| (k, s, Arc::new(r))).collect();
+        let (cells, configs): (Vec<(Key, u64)>, Vec<SimConfig>) = to_simulate.into_iter().unzip();
+        let reports: Vec<Arc<RunReport>> =
+            memnet_core::sweep(configs, settings.threads).into_iter().map(Arc::new).collect();
         if let Some(disk) = self.disk_for(settings) {
-            let entries =
-                fresh.iter().map(|(k, s, r)| (k.fingerprint_at(settings, *s), Arc::clone(r)));
-            if let Err(e) = disk.store(entries) {
+            if let Err(e) = disk.store(fingerprints.into_iter().zip(reports.iter().cloned())) {
                 memnet_simcore::memnet_warn!("[matrix] failed to persist results: {e}");
             }
         }
-        for (k, s, r) in fresh {
+        for ((k, s), r) in cells.into_iter().zip(reports) {
             self.insert(k, s, settings, r);
         }
-        Ok(stats)
+        stats
     }
 
     /// Records one ensured cell: always in the seeded map, and in the
@@ -507,9 +410,9 @@ mod tests {
         let mut m = Matrix::new();
         let k = tiny_key("mixD");
         let settings = Settings { obs: true, ..tiny_settings() };
-        m.ensure(std::slice::from_ref(&k), &settings).unwrap();
+        m.ensure(std::slice::from_ref(&k), &settings);
         assert!(m.get(&k).obs.is_some(), "obs=true must produce the obs report section");
-        let fp = k.fingerprint(&settings);
+        let fp = fingerprint(&k.config(&settings, settings.seed));
         assert!(fp.contains("|obs=true|"), "obs belongs in the fingerprint: {fp}");
     }
 
@@ -517,10 +420,10 @@ mod tests {
     fn ensure_is_memoized() {
         let mut m = Matrix::new();
         let k = tiny_key("mixD");
-        let stats = m.ensure(&[k.clone(), k.clone()], &tiny_settings()).unwrap();
+        let stats = m.ensure(&[k.clone(), k.clone()], &tiny_settings());
         assert_eq!(stats, EnsureStats { requested: 1, memoized: 0, cache_hits: 0, simulated: 1 });
         let before = m.get(&k).completed_reads;
-        let stats = m.ensure(std::slice::from_ref(&k), &tiny_settings()).unwrap();
+        let stats = m.ensure(std::slice::from_ref(&k), &tiny_settings());
         assert_eq!(stats, EnsureStats { requested: 1, memoized: 1, cache_hits: 0, simulated: 0 });
         assert_eq!(m.get(&k).completed_reads, before);
         let totals = EnsureStats { requested: 2, memoized: 1, cache_hits: 0, simulated: 1 };
@@ -536,13 +439,13 @@ mod tests {
         let keys = [tiny_key("mixD"), tiny_key("lu.D")];
 
         let mut cold = Matrix::new();
-        let stats = cold.ensure(&keys, &settings).unwrap();
+        let stats = cold.ensure(&keys, &settings);
         assert_eq!(stats, EnsureStats { requested: 2, memoized: 0, cache_hits: 0, simulated: 2 });
 
         // A brand-new Matrix (fresh process, in effect) must be served
         // entirely from disk: zero simulations.
         let mut warm = Matrix::new();
-        let stats = warm.ensure(&keys, &settings).unwrap();
+        let stats = warm.ensure(&keys, &settings);
         assert_eq!(stats, EnsureStats { requested: 2, memoized: 0, cache_hits: 2, simulated: 0 });
         // Cached results are identical to the fresh ones.
         for k in &keys {
@@ -553,7 +456,7 @@ mod tests {
 
         // A different seed invalidates: everything re-simulates.
         let reseeded = Settings { seed: 2, ..settings.clone() };
-        let stats = Matrix::new().ensure(&keys, &reseeded).unwrap();
+        let stats = Matrix::new().ensure(&keys, &reseeded);
         assert_eq!(stats.cache_hits, 0);
         assert_eq!(stats.simulated, 2);
         let _ = std::fs::remove_dir_all(&dir);
@@ -584,14 +487,14 @@ mod tests {
         let cells = [(k.clone(), settings.seed), (k.clone(), 2)];
 
         let mut cold = Matrix::new();
-        let stats = cold.ensure_cells(&cells, &settings).unwrap();
+        let stats = cold.ensure_cells(&cells, &settings);
         assert_eq!(stats.simulated, 2);
         assert_sole_holder(&cold, &k, &settings);
 
         // A second matrix on the same directory decodes its hits into
         // allocations of its own, shared the same way.
         let mut warm = Matrix::new();
-        let stats = warm.ensure_cells(&cells, &settings).unwrap();
+        let stats = warm.ensure_cells(&cells, &settings);
         assert_eq!(stats, EnsureStats { requested: 2, memoized: 0, cache_hits: 2, simulated: 0 });
         assert_sole_holder(&warm, &k, &settings);
         assert!(!std::ptr::eq(warm.get(&k), cold.get(&k)), "each matrix decodes its own copy");
@@ -606,7 +509,7 @@ mod tests {
         let settings = Settings { cache_dir: Some(dir.clone()), ..tiny_settings() };
         let keys = [tiny_key("mixD"), tiny_key("lu.D")];
         let mut cold = Matrix::new();
-        cold.ensure(&keys, &settings).unwrap();
+        cold.ensure(&keys, &settings);
 
         // Open the cache, then corrupt every body behind its back: the
         // headers it indexed still match, the reports no longer decode.
@@ -617,7 +520,7 @@ mod tests {
             let text = std::fs::read_to_string(&path).unwrap();
             std::fs::write(&path, text.replace("\"report\":{", "\"report\":[")).unwrap();
         }
-        let stats = warm.ensure(&keys, &settings).unwrap();
+        let stats = warm.ensure(&keys, &settings);
         assert_eq!(stats, EnsureStats { requested: 2, memoized: 0, cache_hits: 0, simulated: 2 });
         for k in &keys {
             let fresh = serde::json::to_string(cold.get(k));
@@ -628,39 +531,6 @@ mod tests {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn replay_keys_change_the_fingerprint_and_refuse_to_simulate() {
-        let k = tiny_key("mixD");
-        let r = k.with_replay("d2995bd26ec2efe1");
-        assert_ne!(k.fingerprint(&tiny_settings()), r.fingerprint(&tiny_settings()));
-        assert!(r.fingerprint(&tiny_settings()).contains("src=trace:d2995bd26ec2efe1"));
-        // Different trace contents → different cache identities.
-        assert_ne!(
-            r.fingerprint(&tiny_settings()),
-            k.with_replay("0000000000000000").fingerprint(&tiny_settings())
-        );
-        // The sweep path reports a documented error naming the offending
-        // cell by fingerprint — never a panic.
-        let err = Matrix::new().ensure(std::slice::from_ref(&r), &tiny_settings()).unwrap_err();
-        assert!(err.contains("replay keys refuse matrix simulation"), "{err}");
-        assert!(err.contains(&r.fingerprint(&tiny_settings())), "{err}");
-    }
-
-    #[test]
-    fn calibration_keys_change_the_fingerprint_and_refuse_to_simulate() {
-        let k = tiny_key("mixD").with_backend(EnergyBackendKind::Idd);
-        let c = k.with_calibration("00c0ffee00c0ffee");
-        assert_ne!(k.fingerprint(&tiny_settings()), c.fingerprint(&tiny_settings()));
-        assert!(c.fingerprint(&tiny_settings()).contains("calib=calib:00c0ffee00c0ffee"));
-        assert_ne!(
-            c.fingerprint(&tiny_settings()),
-            k.with_calibration("deadbeefdeadbeef").fingerprint(&tiny_settings())
-        );
-        let err = Matrix::new().ensure(std::slice::from_ref(&c), &tiny_settings()).unwrap_err();
-        assert!(err.contains("calibrated keys refuse matrix simulation"), "{err}");
-        assert!(err.contains(&c.fingerprint(&tiny_settings())), "{err}");
     }
 
     /// Every `(key, seed)` cell of `keys` under `settings.seed_list()`,
@@ -675,7 +545,7 @@ mod tests {
         let settings = Settings { seeds: vec![2, 3], ..tiny_settings() };
         let keys = [tiny_key("mixD"), tiny_key("lu.D")];
         let mut m = Matrix::new();
-        let stats = m.ensure(&keys, &settings).unwrap();
+        let stats = m.ensure(&keys, &settings);
         assert_eq!(stats, EnsureStats { requested: 2, memoized: 0, cache_hits: 0, simulated: 2 });
         for k in &keys {
             assert!(m.seeded.contains_key(&(k.clone(), settings.seed)));
@@ -691,7 +561,7 @@ mod tests {
         let keys = [tiny_key("mixD"), tiny_key("lu.D")];
         let cells = seeded_cells(&keys, &settings);
         let mut m = Matrix::new();
-        let stats = m.ensure_cells(&cells, &settings).unwrap();
+        let stats = m.ensure_cells(&cells, &settings);
         assert_eq!(stats, EnsureStats { requested: 6, memoized: 0, cache_hits: 0, simulated: 6 });
 
         // Each seed's cell is byte-identical to the same cell swept solo
@@ -707,8 +577,7 @@ mod tests {
                 solo.ensure(
                     std::slice::from_ref(k),
                     &Settings { seed, seeds: Vec::new(), ..settings.clone() },
-                )
-                .unwrap();
+                );
                 assert_eq!(
                     serde::json::to_string(m.get_seeded(k, seed)),
                     serde::json::to_string(solo.get(k)),
@@ -718,7 +587,7 @@ mod tests {
         }
 
         // Re-ensuring is fully memoized, per (key, seed) cell.
-        let stats = m.ensure_cells(&cells, &settings).unwrap();
+        let stats = m.ensure_cells(&cells, &settings);
         assert_eq!(stats, EnsureStats { requested: 6, memoized: 6, cache_hits: 0, simulated: 0 });
     }
 
@@ -730,7 +599,7 @@ mod tests {
         let settings = Settings { seeds: vec![2], cache_dir: Some(dir.clone()), ..tiny_settings() };
         let k = tiny_key("mixD");
         let cells = seeded_cells(std::slice::from_ref(&k), &settings);
-        let stats = Matrix::new().ensure_cells(&cells, &settings).unwrap();
+        let stats = Matrix::new().ensure_cells(&cells, &settings);
         assert_eq!(stats.simulated, 2);
 
         // A later solo sweep under the extra seed is served entirely from
@@ -741,7 +610,7 @@ mod tests {
             cache_dir: Some(dir.clone()),
             ..tiny_settings()
         };
-        let stats = Matrix::new().ensure(std::slice::from_ref(&k), &solo_settings).unwrap();
+        let stats = Matrix::new().ensure(std::slice::from_ref(&k), &solo_settings);
         assert_eq!(stats, EnsureStats { requested: 1, memoized: 0, cache_hits: 1, simulated: 0 });
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -750,7 +619,7 @@ mod tests {
     fn stress_workloads_are_simulable_matrix_keys() {
         let mut m = Matrix::new();
         let k = tiny_key("adv.flip");
-        let stats = m.ensure(std::slice::from_ref(&k), &tiny_settings()).unwrap();
+        let stats = m.ensure(std::slice::from_ref(&k), &tiny_settings());
         assert_eq!(stats.simulated, 1);
         assert!(m.get(&k).accesses_per_us > 0.0, "stress run produced traffic");
     }
@@ -759,16 +628,76 @@ mod tests {
     fn energy_backend_is_part_of_the_cache_identity() {
         let k = tiny_key("mixD");
         let idd = k.with_backend(EnergyBackendKind::Idd);
-        assert_ne!(k.fingerprint(&tiny_settings()), idd.fingerprint(&tiny_settings()));
-        assert!(idd.fingerprint(&tiny_settings()).ends_with("|energy=idd"));
+        let fp = |k: &Key| fingerprint(&k.config(&tiny_settings(), 1));
+        assert_ne!(fp(&k), fp(&idd));
+        assert!(fp(&idd).ends_with("|energy=idd"));
         let mut m = Matrix::new();
-        let stats = m.ensure(&[k.clone(), idd.clone()], &tiny_settings()).unwrap();
+        let stats = m.ensure(&[k.clone(), idd.clone()], &tiny_settings());
         assert_eq!(stats.simulated, 2, "the two backends are distinct configurations");
         // Backends reprice identical activity: every non-energy metric
         // agrees exactly, only the joules differ.
         assert_eq!(m.get(&k).completed_reads, m.get(&idd).completed_reads);
         assert_eq!(m.get(&k).events_processed, m.get(&idd).events_processed);
         assert_ne!(m.get(&k).power.energy.total(), m.get(&idd).power.energy.total());
+    }
+
+    /// The fingerprint as keys spelled it before configurations named
+    /// their own results: the oracle [`fingerprint`] must reproduce.
+    fn reference_fingerprint(key: &Key, settings: &Settings, seed: u64) -> String {
+        format!(
+            "v{}|eval_ps={}|seed={}|wl={}|topo={:?}|scale={:?}|policy={:?}|mech={:?}|alpha={}|roo={}|map={:?}|faults={}|obs={}|src=|calib=|energy={}",
+            crate::CACHE_SCHEMA_VERSION,
+            settings.eval_period.as_ps(),
+            seed,
+            key.workload,
+            key.topology,
+            key.scale,
+            key.policy,
+            key.mechanism,
+            key.alpha_tenths_pct,
+            key.roo_wakeup_ns,
+            key.mapping,
+            key.faults,
+            settings.obs,
+            key.energy.label(),
+        )
+    }
+
+    #[test]
+    fn every_registry_cell_keeps_its_fingerprint() {
+        let figures: Vec<String> =
+            crate::figures::sweep_figures().into_iter().map(String::from).collect();
+        let settings = [
+            Settings {
+                eval_period: SimDuration::from_us(20),
+                seeds: vec![8, 9],
+                ..tiny_settings()
+            },
+            Settings { eval_period: SimDuration::from_ms(1), obs: true, ..Settings::default() },
+            Settings {
+                eval_period: SimDuration::from_us(2),
+                seed: 0xC0FFEF,
+                ..Settings::default()
+            },
+        ];
+        for s in &settings {
+            for name in &figures {
+                for key in crate::figures::figure_keys(name).unwrap() {
+                    for seed in s.seed_list() {
+                        assert_eq!(
+                            fingerprint(&key.config(s, seed)),
+                            reference_fingerprint(&key, s, seed)
+                        );
+                    }
+                }
+            }
+            // Plans deduplicate by key, which is sound only while distinct
+            // keys name distinct results.
+            let plan = crate::SweepPlan::new(&figures, s).unwrap();
+            let distinct: std::collections::HashSet<&str> =
+                plan.cells().iter().map(|(_, _, fp)| fp.as_str()).collect();
+            assert_eq!(distinct.len(), plan.len());
+        }
     }
 
     #[test]

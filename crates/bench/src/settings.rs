@@ -3,6 +3,7 @@
 use std::path::PathBuf;
 use std::str::FromStr;
 
+use memnet_core::DEFAULT_SEED;
 use memnet_simcore::SimDuration;
 
 use crate::shard::Shard;
@@ -105,7 +106,7 @@ impl Settings {
             other => other,
         }
         .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4));
-        let seed = env_parse::<u64>("MEMNET_SEED").unwrap_or(0xC0FFEE);
+        let seed = env_parse::<u64>("MEMNET_SEED").unwrap_or(DEFAULT_SEED);
         let seeds = match std::env::var("MEMNET_SEEDS") {
             Err(_) => Vec::new(),
             Ok(raw) => match parse_seed_list(&raw) {
@@ -203,7 +204,7 @@ impl Default for Settings {
         Settings {
             eval_period: SimDuration::from_us(1_000),
             threads: 4,
-            seed: 0xC0FFEE,
+            seed: DEFAULT_SEED,
             seeds: Vec::new(),
             cache_dir: None,
             shard: Shard::full(),
@@ -282,7 +283,7 @@ mod tests {
         std::env::remove_var("MEMNET_CACHE_DIR");
         let s = Settings::from_env();
         assert_eq!(s.eval_period, SimDuration::from_us(1_000));
-        assert_eq!(s.seed, 0xC0FFEE);
+        assert_eq!(s.seed, DEFAULT_SEED);
         assert!(s.seeds.is_empty(), "duplicate MEMNET_SEEDS warns and falls back");
         assert_eq!(s.cache_dir.as_deref(), Some(std::path::Path::new(DEFAULT_CACHE_DIR)));
 

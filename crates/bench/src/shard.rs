@@ -43,11 +43,13 @@
 //! pieces (`of > 1`) append their counters to the footer so the merge
 //! can report aggregate totals that sum to the unsharded run's.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
+use memnet_simcore::FastHashState;
 use serde::json::{self, Value};
 
+use crate::cache::fingerprint;
 use crate::figures;
 use crate::matrix::{EnsureStats, Key, Matrix};
 use crate::settings::Settings;
@@ -141,8 +143,8 @@ pub fn assign(fingerprint: &str, of: u32) -> u32 {
 }
 
 /// The full cell list of a sweep: every figure's keys in canonical
-/// registry order, deduplicated by fingerprint (figures share their
-/// full-power baselines), each paired with its cache fingerprint.
+/// registry order, deduplicated (figures share their full-power
+/// baselines), each paired with its cache fingerprint.
 #[derive(Debug, Clone)]
 pub struct SweepPlan {
     /// The figure names this plan enumerates, in the requested order.
@@ -155,31 +157,35 @@ pub struct SweepPlan {
 
 impl SweepPlan {
     /// Enumerates the plan for the given figures: every figure's keys in
-    /// registry order, each under every seed of
-    /// [`Settings::seed_list`] (one cell per `(key, seed)`), deduplicated
-    /// by fingerprint. Fails (naming the valid figures) if a name is not
-    /// in the registry.
+    /// registry order, first occurrence wins, each under every seed of
+    /// [`Settings::seed_list`] (one cell per `(key, seed)`) with the
+    /// [`fingerprint`] of the configuration it runs. Fails (naming the
+    /// valid figures) if a name is not in the registry.
     pub fn new(figures: &[String], settings: &Settings) -> Result<SweepPlan, String> {
         if figures.is_empty() {
             return Err("a sweep needs at least one figure".into());
         }
-        let seeds = settings.seed_list();
-        let mut cells: Vec<(Key, u64, String)> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
+        let mut keys: Vec<Key> = Vec::new();
         for name in figures {
-            let keys = figures::figure_keys(name).ok_or_else(|| {
+            keys.extend(figures::figure_keys(name).ok_or_else(|| {
                 format!(
                     "unknown figure {name:?}; matrix-backed figures are: {}",
                     figures::sweep_figures().join(", ")
                 )
-            })?;
-            for key in keys {
-                for &seed in &seeds {
-                    let fp = key.fingerprint_at(settings, seed);
-                    if seen.insert(fp.clone()) {
-                        cells.push((key.clone(), seed, fp));
-                    }
-                }
+            })?);
+        }
+        let seeds = settings.seed_list();
+        let mut cells: Vec<(Key, u64, String)> = Vec::new();
+        let mut seen: HashSet<&Key, FastHashState> = HashSet::default();
+        for key in &keys {
+            if !seen.insert(key) {
+                continue;
+            }
+            // One configuration per key; only its seed varies by cell.
+            let mut cfg = key.config(settings, settings.seed);
+            for &seed in &seeds {
+                cfg.seed = seed;
+                cells.push((key.clone(), seed, fingerprint(&cfg)));
             }
         }
         let joined: Vec<&str> = cells.iter().map(|(_, _, fp)| fp.as_str()).collect();
@@ -255,9 +261,8 @@ fn footer_line(shard: Shard, cells: usize, stats: EnsureStats) -> String {
 ///
 /// # Errors
 ///
-/// Fails without simulating anything if a plan cell cannot be simulated
-/// by the matrix (a replay or calibrated key); the message carries the
-/// offending cell's fingerprint.
+/// Never fails: every plan cell is simulable. The `Result` remains for
+/// the callers that propagate it.
 pub fn run_shard(
     plan: &SweepPlan,
     shard: Shard,
@@ -266,7 +271,7 @@ pub fn run_shard(
 ) -> Result<(String, EnsureStats), String> {
     let shard_settings = Settings { shard, ..settings.clone() };
     let cells = plan.shard_cells(shard);
-    let stats = matrix.ensure_cells(&cells, &shard_settings)?;
+    let stats = matrix.ensure_cells(&cells, &shard_settings);
     let mut out = header_line(shard, plan, settings);
     let mut count = 0usize;
     for (key, seed, fp) in plan.cells() {
@@ -665,23 +670,5 @@ mod tests {
     #[test]
     fn merge_requires_at_least_one_file() {
         assert!(merge(&[]).is_err());
-    }
-
-    #[test]
-    fn run_shard_refuses_replay_cells_naming_the_fingerprint() {
-        let settings = Settings::default();
-        let base = SweepPlan::new(&default_figures(), &settings).unwrap();
-        let (key, seed, _) = base.cells()[0].clone();
-        let replay = key.with_replay("deadbeefdeadbeef");
-        let fp = replay.fingerprint_at(&settings, seed);
-        let plan = SweepPlan {
-            figures: base.figures.clone(),
-            set_digest: base.set_digest.clone(),
-            cells: vec![(replay, seed, fp.clone())],
-        };
-        let mut matrix = Matrix::new();
-        let err = run_shard(&plan, Shard::full(), &settings, &mut matrix).unwrap_err();
-        assert!(err.contains("replay keys refuse matrix simulation"), "{err}");
-        assert!(err.contains(&fp), "error must carry the offending fingerprint: {err}");
     }
 }

@@ -10,7 +10,7 @@ use memnet_net::mech::RooParams;
 use memnet_net::TopologyKind;
 use memnet_obs::ObsConfig;
 use memnet_policy::{Mechanism, PolicyConfig, PolicyKind};
-use memnet_power::EnergyBackendKind;
+use memnet_power::{EnergyBackendKind, IddModel};
 use memnet_simcore::{AuditLevel, SimDuration, SplitMix64};
 use memnet_workload::{
     catalog, stress, RequestGenerator, RequestTrace, StressEnv, StressGenerator, StressSpec,
@@ -21,6 +21,10 @@ use serde::{Deserialize, Serialize};
 use crate::engine::Engine;
 use crate::frontend::TrafficSource;
 use crate::metrics::RunReport;
+
+/// The RNG seed of every run that does not set one: the CLI, manifests,
+/// sweeps and the figures all default to it.
+pub const DEFAULT_SEED: u64 = 0xC0FFEE;
 
 /// Which network-size study a run belongs to.
 ///
@@ -187,6 +191,11 @@ pub struct SimConfig {
     /// simulation behavior, so the backend changes only the energy
     /// sections of the report.
     pub energy_backend: EnergyBackendKind,
+    /// A fitted IDD model that prices this run in place of the stock
+    /// table (see [`SimConfigBuilder::calibration`], which also selects
+    /// [`EnergyBackendKind::Idd`]). A calibrated result belongs to its
+    /// model, so the model is part of the run's identity.
+    pub calibration: Option<Arc<IddModel>>,
 }
 
 impl SimConfig {
@@ -311,6 +320,7 @@ pub struct SimConfigBuilder {
     obs: ObsConfig,
     replay: Option<Arc<RequestTrace>>,
     energy_backend: EnergyBackendKind,
+    calibration: Option<Arc<IddModel>>,
 }
 
 impl SimConfigBuilder {
@@ -328,7 +338,7 @@ impl SimConfigBuilder {
             eval_period: SimDuration::from_ms(1),
             roo_params: RooParams::fast(),
             mapping: AddressMapping::Contiguous,
-            seed: 0xC0FFEE,
+            seed: DEFAULT_SEED,
             max_outstanding_reads: 64,
             write_buffer: 128,
             dram: DramParams::hmc_gen2(),
@@ -340,6 +350,7 @@ impl SimConfigBuilder {
             obs: ObsConfig::off(),
             replay: None,
             energy_backend: EnergyBackendKind::Analytical,
+            calibration: None,
         }
     }
 
@@ -468,6 +479,14 @@ impl SimConfigBuilder {
         self
     }
 
+    /// Prices the run with a fitted IDD model (a calibration JSON, say)
+    /// instead of the stock table, selecting [`EnergyBackendKind::Idd`].
+    pub fn calibration(mut self, model: IddModel) -> Self {
+        self.calibration = Some(Arc::new(model));
+        self.energy_backend = EnergyBackendKind::Idd;
+        self
+    }
+
     /// Replays a recorded request trace instead of running a generator.
     /// The workload is forced to the one named in the trace header (its
     /// footprint sizes the network), overriding [`Self::workload`]; the
@@ -553,6 +572,7 @@ impl SimConfigBuilder {
             obs: self.obs,
             source,
             energy_backend: self.energy_backend,
+            calibration: self.calibration,
         })
     }
 }

@@ -42,7 +42,7 @@ use memnet_obs::{
     TimeSeriesRecorder, TraceMeta,
 };
 use memnet_policy::{PolicyKind, PowerController, ViolationAction};
-use memnet_power::{EnergyBackend, EnergyBreakdown, ModuleActivity};
+use memnet_power::{EnergyBackend, EnergyBreakdown, IddModel, ModuleActivity};
 use memnet_simcore::audit::approx_eq_rel;
 use memnet_simcore::{AuditLevel, Auditor, EventQueue, FastHashState, SimDuration, SimTime};
 
@@ -286,7 +286,10 @@ impl Engine {
             controller,
             epoch_decisions: Vec::new(),
             frontend,
-            backend: cfg.energy_backend.build(),
+            backend: match &cfg.calibration {
+                Some(model) => Box::new(IddModel::clone(model)),
+                None => cfg.energy_backend.build(),
+            },
             faults,
             retry_attempts: vec![0; topo.n_links()],
             reachable,
@@ -313,15 +316,6 @@ impl Engine {
             topo,
             cfg,
         }
-    }
-
-    /// Replaces the energy backend with a custom instance — a calibrated
-    /// or deliberately perturbed [`memnet_power::IddModel`], say.
-    /// `Engine::new` already installs the canonical backend for
-    /// `cfg.energy_backend`.
-    pub fn with_backend(mut self, backend: Box<dyn EnergyBackend>) -> Engine {
-        self.backend = backend;
-        self
     }
 
     /// Runs the simulation to the end of the evaluation period and

@@ -47,6 +47,7 @@ pub mod runner;
 
 pub use config::{
     AddressMapping, ConfigError, NetworkScale, SimConfig, SimConfigBuilder, TrafficSpec,
+    DEFAULT_SEED,
 };
 pub use engine::Engine;
 pub use frontend::{InjectStep, TrafficSource};

@@ -293,6 +293,16 @@ impl IddModel {
     pub fn write_premium_energy(&self) -> f64 {
         self.vdd * (self.idd4w - self.idd4r) * self.t_burst
     }
+
+    /// FNV-1a 64 digest of the model's JSON form, as 16 hex digits: the
+    /// calibration's identity in cache fingerprints.
+    pub fn digest_hex(&self) -> String {
+        let digest =
+            serde::json::to_string(self).bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+        format!("{digest:016x}")
+    }
 }
 
 impl EnergyBackend for IddModel {
@@ -493,5 +503,15 @@ mod tests {
         let json = serde::json::to_string(&b);
         let back: IddModel = serde::json::from_str(&json).expect("IddModel JSON round-trips");
         assert_eq!(back, b);
+    }
+
+    #[test]
+    fn digest_is_stable_and_content_sensitive() {
+        let stock = IddModel::hmc_gen2();
+        let mut hot = stock.clone();
+        hot.io_on_current *= 1.1;
+        assert_eq!(stock.digest_hex(), stock.digest_hex());
+        assert_ne!(stock.digest_hex(), hot.digest_hex());
+        assert_eq!(stock.digest_hex().len(), 16);
     }
 }

@@ -107,10 +107,7 @@ pub fn execute(
     progress_every: u64,
     progress: Option<Box<dyn FnMut(RunProgress) + Send>>,
 ) -> (RunReport, StopReason) {
-    let mut engine = Engine::new(job.cfg.clone());
-    if let Some(model) = &job.backend {
-        engine = engine.with_backend(Box::new(model.clone()));
-    }
+    let engine = Engine::new(job.cfg.clone());
     let lim = &job.manifest.limits;
     let limits = RunLimits {
         wall_time: lim.wall_time_ms.map(Duration::from_millis),

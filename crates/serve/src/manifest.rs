@@ -32,8 +32,10 @@
 //!
 //! Manifests never read environment variables: the energy backend, audit
 //! level and fault scenario are exactly what the document says (defaults:
-//! `analytical`, `off`, fault-free). This is what makes a manifest's
-//! fingerprint — and therefore the shared result cache — trustworthy.
+//! `analytical`, `off`, fault-free). A manifest's fingerprint is
+//! [`memnet_bench::fingerprint`] of the configuration it resolves to,
+//! replayed trace and calibrated model included, so the shared result
+//! cache names exactly what runs.
 //!
 //! **v2** adds an optional `sweep` section that describes a whole figure
 //! sweep instead of a single run. The daemon farms the sweep out as one
@@ -58,8 +60,8 @@ use std::sync::Arc;
 
 use memnet_bench::figures::sweep_figures;
 use memnet_bench::shard::MAX_SHARDS;
-use memnet_bench::{Key, Settings};
-use memnet_core::{ConfigError, NetworkScale, PolicyKind, SimConfig};
+use memnet_bench::{fingerprint, Settings};
+use memnet_core::{ConfigError, NetworkScale, PolicyKind, SimConfig, DEFAULT_SEED};
 use memnet_faults::FaultConfig;
 use memnet_net::TopologyKind;
 use memnet_policy::Mechanism;
@@ -247,7 +249,7 @@ impl Default for SweepSpec {
             figures: sweep_figures().into_iter().map(String::from).collect(),
             shards: 1,
             eval_us: 1_000,
-            seed: 0xC0FFEE,
+            seed: DEFAULT_SEED,
             obs: false,
             out: None,
         }
@@ -489,7 +491,7 @@ impl Manifest {
                 Some(Arc::new(trace))
             }
         };
-        let backend: Option<IddModel> = match &run.calibration {
+        let calibration: Option<IddModel> = match &run.calibration {
             None => None,
             Some(path) => {
                 let err = |msg: String| ManifestError::new("run.calibration", None, msg);
@@ -502,7 +504,7 @@ impl Manifest {
         };
         let seed = run.seed.unwrap_or(match &replay {
             Some(trace) => trace.seed,
-            None => 0xC0FFEE,
+            None => DEFAULT_SEED,
         });
         let mut builder = SimConfig::builder()
             .workload(&run.workload)
@@ -516,8 +518,11 @@ impl Manifest {
             .faults(run.faults.clone())
             .energy_backend(run.energy_backend)
             .audit(run.audit);
-        if let Some(trace) = replay.clone() {
+        if let Some(trace) = replay {
             builder = builder.replay(trace);
+        }
+        if let Some(model) = calibration {
+            builder = builder.calibration(model);
         }
         let cfg = builder.build().map_err(|e| {
             let path = match &e {
@@ -528,42 +533,14 @@ impl Manifest {
             };
             ManifestError::new(path, None, e.to_string())
         })?;
-
-        let mut key = Key {
-            workload: cfg.workload.name,
-            topology: run.topology,
-            scale: run.scale,
-            policy: run.policy,
-            mechanism: run.mechanism,
-            alpha_tenths_pct: (cfg.alpha * 1000.0).round() as u32,
-            roo_wakeup_ns: 14,
-            mapping: memnet_core::AddressMapping::Contiguous,
-            faults: run.faults.spec(),
-            source: String::new(),
-            calibration: String::new(),
-            energy: run.energy_backend,
-        };
-        if let Some(trace) = &replay {
-            key = key.with_replay(&trace.digest_hex());
-        }
-        if let Some(model) = &backend {
-            key = key.with_calibration(&calibration_digest(model));
-        }
-        // Thread count never affects results and the server runs each
-        // engine single-threaded; cache_dir is a store location, not an
-        // identity, and the shard tag is pure log attribution.
-        let settings = Settings {
-            eval_period: SimDuration::from_us(run.eval_us),
-            threads: 1,
-            seed,
-            ..Settings::default()
-        };
-        let fingerprint = key.fingerprint(&settings);
+        let fingerprint = fingerprint(&cfg);
 
         // A run truncated by an event budget or a sub-eval sim-time cap is
         // NOT the full run: it must neither hit nor populate the shared
-        // cache under the full run's fingerprint. Wall-clock limits don't
-        // matter here — serving a finished report trivially meets them.
+        // cache under the full run's fingerprint. A wall-clock limit does
+        // not keep a run from the cache (a finished report trivially meets
+        // it), but it may stop the run it is given to, so it is part of
+        // the job key: a submission without the limit never shares it.
         let truncating_sim_cap = self.limits.max_sim_time_us.filter(|&us| us < run.eval_us);
         let cache_eligible = self.limits.max_events.is_none() && truncating_sim_cap.is_none();
         let mut job_key = fingerprint.clone();
@@ -573,29 +550,12 @@ impl Manifest {
         if let Some(us) = truncating_sim_cap {
             job_key.push_str(&format!("|lim_sim_us={us}"));
         }
+        if let Some(ms) = self.limits.wall_time_ms {
+            job_key.push_str(&format!("|lim_wall_ms={ms}"));
+        }
 
-        Ok(ResolvedJob {
-            manifest: self.clone(),
-            cfg,
-            backend,
-            fingerprint,
-            job_key,
-            cache_eligible,
-        })
+        Ok(ResolvedJob { manifest: self.clone(), cfg, fingerprint, job_key, cache_eligible })
     }
-}
-
-/// FNV-1a 64 digest of a calibrated model's serialized form, hex-encoded
-/// (the calibration provenance in cache fingerprints).
-pub fn calibration_digest(model: &IddModel) -> String {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let bytes = json::to_string(model);
-    let h = bytes
-        .as_bytes()
-        .iter()
-        .fold(FNV_OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME));
-    format!("{h:016x}")
 }
 
 fn parse_run(text: &str, value: &Value) -> Result<RunSpec, ManifestError> {
@@ -643,8 +603,8 @@ fn parse_run(text: &str, value: &Value) -> Result<RunSpec, ManifestError> {
                 })?;
             }
             "alpha_pct" => {
-                // Cache identities hold α in whole tenths of a percent
-                // (`Key::alpha_tenths_pct`): two values between grid
+                // Cache fingerprints hold α in whole tenths of a percent
+                // (`memnet_bench::fingerprint`): two values between grid
                 // points would share one identity and one cached result.
                 let pct = f.f64()?;
                 if (pct * 10.0).round() / 10.0 != pct {
@@ -795,23 +755,24 @@ fn parse_sweep(text: &str, value: &Value) -> Result<SweepSpec, ManifestError> {
     Ok(sweep)
 }
 
-/// A manifest resolved into something executable: the validated config,
-/// the injected backend (when calibrated), and the job's cache identity.
+/// A manifest resolved into something executable: the validated config
+/// (replayed trace and calibrated model included) and the job's cache
+/// identity.
 #[derive(Debug, Clone)]
 pub struct ResolvedJob {
     /// The manifest this job came from (limits and assertions live here).
     pub manifest: Manifest,
     /// The validated simulation configuration.
     pub cfg: SimConfig,
-    /// Calibrated model replacing the stock backend, if any.
-    pub backend: Option<IddModel>,
-    /// Persistent-cache identity of the *full* run (the bench crate's
-    /// schema-versioned fingerprint). Equal fingerprints guarantee
-    /// byte-identical reports.
+    /// Persistent-cache identity of the *full* run:
+    /// [`memnet_bench::fingerprint`] of `cfg`. Equal fingerprints
+    /// guarantee byte-identical reports.
     pub fingerprint: String,
-    /// In-flight dedup identity: the fingerprint plus any
-    /// result-truncating limits. Two manifests with equal `job_key`
-    /// produce byte-identical reports, so one simulation serves both.
+    /// In-flight dedup identity: the fingerprint plus every limit that
+    /// may stop the run (event budget, truncating sim-time cap, wall
+    /// clock). Two manifests with equal `job_key` run under the same
+    /// limits and produce byte-identical results, so one simulation
+    /// serves both.
     pub job_key: String,
     /// Whether the finished report may hit / populate the shared cache
     /// under `fingerprint` (false when a limit truncates the result).
@@ -996,11 +957,12 @@ mod tests {
         .unwrap();
         let job = m.resolve().unwrap();
         assert!(!job.cache_eligible, "a truncated result must not poison the cache");
-        assert!(job.job_key.ends_with("|lim_sim_us=50"), "{}", job.job_key);
+        assert!(job.job_key.ends_with("|lim_sim_us=50|lim_wall_ms=60000"), "{}", job.job_key);
         assert_ne!(job.job_key, job.fingerprint);
 
         // A sim cap at/above the eval period is no truncation, and a pure
-        // wall-clock limit never blocks caching.
+        // wall-clock limit never blocks caching. The wall clock may still
+        // stop the run, so it keys the job.
         let m = manifest(
             "{\"schema\":\"memnet-manifest\",\"v\":1,\
              \"run\":{\"workload\":\"mixD\",\"eval_us\":1000},\
@@ -1009,7 +971,7 @@ mod tests {
         .unwrap();
         let job = m.resolve().unwrap();
         assert!(job.cache_eligible);
-        assert_eq!(job.job_key, job.fingerprint);
+        assert_eq!(job.job_key, format!("{}|lim_wall_ms=60000", job.fingerprint));
     }
 
     #[test]
@@ -1020,7 +982,7 @@ mod tests {
         assert_eq!(sweep.figures.len(), sweep_figures().len(), "defaults to every figure");
         assert_eq!(sweep.shards, 1);
         assert_eq!(sweep.eval_us, 1_000);
-        assert_eq!(sweep.seed, 0xC0FFEE);
+        assert_eq!(sweep.seed, DEFAULT_SEED);
         assert!(!sweep.obs);
         assert!(sweep.out.is_none());
 
@@ -1107,15 +1069,5 @@ mod tests {
         let err = m.resolve().unwrap_err();
         assert_eq!(err.path, "sweep");
         assert!(err.msg.contains("not a single run"), "{}", err.msg);
-    }
-
-    #[test]
-    fn calibration_digest_is_stable_and_content_sensitive() {
-        let stock = IddModel::hmc_gen2();
-        let mut hot = stock.clone();
-        hot.io_on_current *= 1.1;
-        assert_eq!(calibration_digest(&stock), calibration_digest(&stock));
-        assert_ne!(calibration_digest(&stock), calibration_digest(&hot));
-        assert_eq!(calibration_digest(&stock).len(), 16);
     }
 }

@@ -22,9 +22,10 @@
 //!
 //! 1. the persistent bench result cache (fingerprint hit → immediate
 //!    `done`, zero simulation), then
-//! 2. the in-flight table (an identical job queued or running → the new
-//!    submission *coalesces* onto it and receives its own events and its
-//!    own assertion verdicts when the one simulation finishes).
+//! 2. the in-flight table (a job with the same fingerprint and limits
+//!    queued or running → the new submission *coalesces* onto it and
+//!    receives its own events and its own assertion verdicts when the one
+//!    simulation finishes).
 //!
 //! Identical concurrent submissions therefore simulate exactly once.
 //!

@@ -63,7 +63,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use memnet::core::multichannel::run_channels;
-use memnet::core::{report_text, Engine, NetworkScale, PolicyKind, SimConfig, SimConfigBuilder};
+use memnet::core::{
+    report_text, NetworkScale, PolicyKind, SimConfig, SimConfigBuilder, DEFAULT_SEED,
+};
 use memnet::faults::FaultConfig;
 use memnet::net::TopologyKind;
 use memnet::obs::{summary, ObsConfig};
@@ -80,8 +82,8 @@ struct Args {
     mechanism: Mechanism,
     alpha: f64,
     eval_us: u64,
-    /// None = unset on the command line: the default is 0xC0FFEE for live
-    /// runs but the recorded seed for replays.
+    /// None = unset on the command line: the default is [`DEFAULT_SEED`]
+    /// for live runs but the recorded seed for replays.
     seed: Option<u64>,
     channels: usize,
     faults: FaultConfig,
@@ -286,7 +288,7 @@ fn build(args: &Args, replay: Option<Arc<RequestTrace>>) -> Result<SimConfig, St
     // recorded seed so the rerun is bit-identical.
     let seed = args.seed.unwrap_or(match &replay {
         Some(trace) => trace.seed,
-        None => 0xC0FFEE,
+        None => DEFAULT_SEED,
     });
     let mut builder: SimConfigBuilder = SimConfig::builder()
         .workload(&args.workload)
@@ -463,7 +465,9 @@ fn diff_models_command(rest: Vec<String>) -> Result<ExitCode, String> {
     let mut cfg = build(&args, None)?;
     cfg.energy_backend = EnergyBackendKind::Analytical;
     let ref_report = cfg.clone().run();
-    let cand_report = Engine::new(cfg).with_backend(Box::new(idd.clone())).run();
+    cfg.energy_backend = EnergyBackendKind::Idd;
+    cfg.calibration = Some(Arc::new(idd.clone()));
+    let cand_report = cfg.run();
     println!(
         "\nRun energy over {} / {} / {} ({} us)",
         ref_report.workload, ref_report.policy, ref_report.mechanism, args.eval_us

@@ -6,7 +6,7 @@
 //! monotonicity, window telescoping) and fuzzes the calibration CSV
 //! parser and least-squares fitter.
 
-use memnet::core::{report_text, Engine, NetworkScale, PolicyKind, SimConfig};
+use memnet::core::{report_text, NetworkScale, PolicyKind, SimConfig};
 use memnet::net::mech::BwMode;
 use memnet::net::{HmcRadix, TopologyKind};
 use memnet::policy::Mechanism;
@@ -72,9 +72,10 @@ fn both_backends_audit_clean_across_the_grid() {
 /// 10% hot IDD4R pushes DRAM dynamic energy out of it.
 #[test]
 fn injected_idd4r_miscalibration_is_caught_by_the_differential_report() {
-    let cfg = base(PolicyKind::NetworkAware, Mechanism::VwlRoo).build().unwrap();
-    let reference = cfg.clone().run();
-    let run_with = |model: IddModel| Engine::new(cfg.clone()).with_backend(Box::new(model)).run();
+    let reference = base(PolicyKind::NetworkAware, Mechanism::VwlRoo).build().unwrap().run();
+    let run_with = |model: IddModel| {
+        base(PolicyKind::NetworkAware, Mechanism::VwlRoo).calibration(model).build().unwrap().run()
+    };
 
     let stock = run_with(IddModel::hmc_gen2());
     let rows = report_text::model_diff_energy_rows(&reference, &stock);
@@ -127,13 +128,11 @@ fn sweeps_are_thread_invariant_under_either_backend() {
 /// bit-identically — whole reports, not just unit prices.
 #[test]
 fn derived_idd_table_reproduces_the_analytical_run_bit_for_bit() {
-    let cfg = base(PolicyKind::NetworkAware, Mechanism::VwlRoo)
-        .eval_period(SimDuration::from_us(50))
-        .build()
-        .unwrap();
-    let analytical = cfg.clone().run();
+    let cfg =
+        base(PolicyKind::NetworkAware, Mechanism::VwlRoo).eval_period(SimDuration::from_us(50));
+    let analytical = cfg.clone().build().unwrap().run();
     let derived = IddModel::from_analytical(&HmcPowerModel::paper());
-    let idd = Engine::new(cfg).with_backend(Box::new(derived)).run();
+    let idd = cfg.calibration(derived).build().unwrap().run();
     assert_eq!(
         serde::json::to_string(&analytical),
         serde::json::to_string(&idd),

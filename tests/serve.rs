@@ -678,3 +678,138 @@ fn a_hit_whose_line_no_longer_decodes_is_simulated_instead() {
     assert_eq!((stats.submitted, stats.simulated, stats.cache_hits), (1, 1, 0));
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
+
+/// A calibration 10% hot on the link on-state current (the one
+/// `memnet diff-models` flags), as a calibration JSON file would hold it.
+const HOT_CALIBRATION: &str = "{\"vdd\":1.2,\"vddq\":1.2,\"vlogic\":0.9,\"idd2n\":0.47,\
+    \"idd0\":0.07,\"idd4r\":0.068,\"idd4w\":0.072,\"t_activate\":8e-9,\"t_burst\":8e-9,\
+    \"ilogic_idle\":0.84,\"q_flit\":1.01e-10,\"io_on_current\":0.5225,\
+    \"io_off_current\":0.005,\"io_wake_current\":0.475}";
+
+/// The cache identity of [`replayed_calibrated_manifest`] with
+/// [`HOT_CALIBRATION`]: the trace and calibration digests name what runs.
+const PINNED_FINGERPRINT: &str = "v11|eval_ps=50000000|seed=7|wl=mixD|topo=TernaryTree|\
+    scale=Small|policy=FullPower|mech=FullPower|alpha=50|roo=14|map=Contiguous|faults=|obs=false|\
+    src=trace:59f2dc3c74c477cb|calib=calib:fd43d30a7b2f9f71|energy=idd";
+
+/// A manifest that replays a recorded mixD trace (its seed included) and
+/// prices it with the calibration at `calibration`.
+fn replayed_calibrated_manifest(trace: &std::path::Path, calibration: &std::path::Path) -> String {
+    format!(
+        "{{\"schema\":\"memnet-manifest\",\"v\":1,\"run\":{{\"eval_us\":50,\"replay\":{},\
+         \"energy_backend\":\"idd\",\"calibration\":{}}}}}",
+        json::to_string(trace.to_str().unwrap()),
+        json::to_string(calibration.to_str().unwrap()),
+    )
+}
+
+fn fingerprint_of(event: &Value) -> String {
+    event.get("result").unwrap().get("fingerprint").unwrap().as_str().unwrap().to_owned()
+}
+
+#[test]
+fn replayed_calibrated_manifests_keep_their_identity_offline_and_at_the_daemon() {
+    let trace_path = tmp("pin-trace.jsonl");
+    let trace = memnet::core::SimConfig::builder()
+        .workload("mixD")
+        .eval_period(memnet::simcore::SimDuration::from_us(50))
+        .seed(7)
+        .build()
+        .unwrap()
+        .record_trace(1_000_000)
+        .unwrap();
+    std::fs::write(&trace_path, trace.to_jsonl()).unwrap();
+    let hot = tmp("pin-hot.json");
+    std::fs::write(&hot, HOT_CALIBRATION).unwrap();
+    let manifest = replayed_calibrated_manifest(&trace_path, &hot);
+
+    let offline =
+        memnet::serve::run_manifest(&memnet::serve::Manifest::parse(&manifest).unwrap()).unwrap();
+    assert_eq!(offline.fingerprint, PINNED_FINGERPRINT, "the replayed, calibrated identity");
+    assert_eq!(offline.exit_code, 0);
+
+    let cache_dir = tmp("pin-cache");
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let (addr, handle) = start_server(ServerConfig {
+        workers: 1,
+        cache_dir: Some(cache_dir.clone()),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr);
+    client.submit(&manifest);
+    let (kind, first, _) = client.until_terminal();
+    assert_eq!(kind, "done");
+    assert_eq!(cache_source(&first), "simulated");
+    assert_eq!(result_text(&first), json::to_string(&offline), "daemon == offline, bytewise");
+
+    client.submit(&manifest);
+    let (kind, repeat, _) = client.until_terminal();
+    assert_eq!(kind, "done");
+    assert_eq!(cache_source(&repeat), "disk", "the repeat is served from the cache");
+    assert_eq!(report_text(&repeat), report_text(&first));
+
+    // Another calibration prices the same trace differently: a new
+    // identity, simulated rather than served.
+    let stock = tmp("pin-stock.json");
+    std::fs::write(&stock, HOT_CALIBRATION.replace("0.5225", "0.475")).unwrap();
+    client.submit(&replayed_calibrated_manifest(&trace_path, &stock));
+    let (kind, other, _) = client.until_terminal();
+    assert_eq!(kind, "done");
+    assert_eq!(cache_source(&other), "simulated");
+    assert_ne!(fingerprint_of(&other), PINNED_FINGERPRINT);
+    assert_ne!(report_text(&other), report_text(&first), "the calibration prices the run");
+
+    client.shutdown();
+    let stats = handle.join().unwrap();
+    assert_eq!((stats.simulated, stats.cache_hits), (2, 1));
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    for path in [trace_path, hot, stock] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn a_wall_clock_limit_never_reaches_a_submission_that_did_not_set_it() {
+    // One worker, kept busy by a long blocker, so both submissions below
+    // are queued side by side before either runs.
+    let (addr, handle) =
+        start_server(ServerConfig { workers: 1, cache_dir: None, ..ServerConfig::default() });
+    let mut blocker = Client::connect(addr);
+    blocker.submit(
+        "{\"schema\":\"memnet-manifest\",\"v\":1,\
+         \"run\":{\"workload\":\"mixD\",\"eval_us\":20000,\"seed\":8}}",
+    );
+    let queued = blocker.next_event();
+    let blocker_id = queued.get("job").unwrap().num::<u64>().unwrap();
+    assert_eq!(blocker.next_event().get("event").unwrap().as_str().unwrap(), "started");
+
+    let run = "\"run\":{\"workload\":\"mixD\",\"eval_us\":250,\"seed\":7}";
+    let mut limited = Client::connect(addr);
+    limited.submit(&format!(
+        "{{\"schema\":\"memnet-manifest\",\"v\":1,{run},\"limits\":{{\"wall_time_ms\":1}}}}"
+    ));
+    assert_eq!(limited.next_event().get("event").unwrap().as_str().unwrap(), "queued");
+    let mut unlimited = Client::connect(addr);
+    unlimited.submit(&format!("{{\"schema\":\"memnet-manifest\",\"v\":1,{run}}}"));
+    let queued = unlimited.next_event();
+    assert_eq!(queued.get("event").unwrap().as_str().unwrap(), "queued");
+    assert!(!flag(&queued, "coalesced"), "a run without a limit must not share a limited one");
+
+    blocker.send(&format!("{{\"op\":\"cancel\",\"job\":{blocker_id}}}"));
+    assert_eq!(blocker.until_terminal().0, "cancelled");
+    let (kind, event, _) = limited.until_terminal();
+    assert_eq!((kind.as_str(), exit_code(&event)), ("failed", 3), "the 1 ms budget stops it");
+    let stop = |event: &Value| {
+        event.get("result").unwrap().get("stop").unwrap().as_str().unwrap().to_owned()
+    };
+    assert_eq!(stop(&event), "wall-time");
+    let (kind, event, _) = unlimited.until_terminal();
+    assert_eq!((kind.as_str(), exit_code(&event)), ("done", 0));
+    assert_eq!(stop(&event), "completed");
+    assert_eq!(cache_source(&event), "simulated");
+
+    let mut admin = Client::connect(addr);
+    admin.shutdown();
+    let stats = handle.join().unwrap();
+    assert_eq!((stats.simulated, stats.coalesced), (3, 0));
+}
