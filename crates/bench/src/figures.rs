@@ -238,7 +238,7 @@ pub fn fig04() -> String {
     let mut out =
         String::from("Figure 4: cumulative % of memory accesses by address range (GB)\nGB");
     let specs = catalog::all();
-    for w in &specs {
+    for w in specs {
         out.push_str(&format!("\t{}", w.name));
     }
     out.push('\n');

@@ -109,6 +109,8 @@ pub enum ConfigError {
     /// The fault scenario is malformed or names links/modules outside the
     /// network.
     BadFaults(String),
+    /// The policy cannot manage links built with this mechanism.
+    BadMechanism(String),
 }
 
 impl fmt::Display for ConfigError {
@@ -125,6 +127,7 @@ impl fmt::Display for ConfigError {
             ConfigError::BadAlpha(m) => write!(f, "invalid alpha: {m}"),
             ConfigError::BadEvalPeriod => f.write_str("evaluation period must be positive"),
             ConfigError::BadFaults(m) => write!(f, "invalid fault scenario: {m}"),
+            ConfigError::BadMechanism(m) => write!(f, "invalid mechanism: {m}"),
         }
     }
 }
@@ -531,6 +534,13 @@ impl SimConfigBuilder {
         if self.eval_period.is_zero() {
             return Err(ConfigError::BadEvalPeriod);
         }
+        if !self.policy.manages(self.mechanism) {
+            return Err(ConfigError::BadMechanism(format!(
+                "{} cannot manage {} links",
+                self.policy.label(),
+                self.mechanism
+            )));
+        }
         self.faults.validate().map_err(ConfigError::BadFaults)?;
         let n_hmcs = workload.footprint_gb.div_ceil(self.scale.chunk_gb()) as usize;
         for d in &self.faults.degraded {
@@ -601,6 +611,28 @@ mod tests {
         assert_eq!(small.n_hmcs(), 9); // 36 GB / 4
         assert_eq!(big.n_hmcs(), 36); // 36 GB / 1
         assert_eq!(big.chunk_lines(), (1 << 30) / 64);
+    }
+
+    #[test]
+    fn static_selection_needs_the_vwl_mechanism() {
+        let stat = || SimConfig::builder().policy(PolicyKind::StaticSelection);
+        assert!(stat().mechanism(Mechanism::Vwl).build().is_ok());
+        for mech in [
+            Mechanism::FullPower,
+            Mechanism::Roo,
+            Mechanism::VwlRoo,
+            Mechanism::Dvfs,
+            Mechanism::DvfsRoo,
+        ] {
+            let err = stat().mechanism(mech).build().unwrap_err();
+            assert!(matches!(err, ConfigError::BadMechanism(_)), "{mech}: {err}");
+            assert!(err.to_string().contains(mech.label()), "names the mechanism: {err}");
+        }
+        // Every other policy takes every mechanism.
+        for policy in [PolicyKind::FullPower, PolicyKind::NetworkUnaware, PolicyKind::NetworkAware]
+        {
+            assert!(SimConfig::builder().policy(policy).mechanism(Mechanism::Roo).build().is_ok());
+        }
     }
 
     #[test]

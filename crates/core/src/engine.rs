@@ -201,7 +201,13 @@ struct ObsEpochState {
 
 impl Engine {
     /// Builds the simulator for `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.dram` fails [`memnet_dram::DramParams::validate`];
+    /// the vaults built here trust it.
     pub fn new(cfg: SimConfig) -> Engine {
+        cfg.dram.validate().expect("invalid DRAM parameters");
         let n = cfg.n_hmcs();
         let built = Topology::build(cfg.topology, n);
         // Hard-failed upstream edges are routed around before anything
@@ -1407,6 +1413,14 @@ mod tests {
             .audit(AuditLevel::Full)
             .build()
             .expect("valid configuration")
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid DRAM parameters")]
+    fn invalid_dram_parameters_are_refused_before_any_vault_is_built() {
+        let mut cfg = audited_cfg(20);
+        cfg.dram.vault_buffer_entries = 0;
+        let _ = Engine::new(cfg);
     }
 
     #[test]

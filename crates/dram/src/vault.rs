@@ -114,13 +114,10 @@ pub struct Vault {
 }
 
 impl Vault {
-    /// Creates an idle vault at time `start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` fails [`DramParams::validate`].
+    /// Creates an idle vault at time `start`. `params` must pass
+    /// [`DramParams::validate`]; the simulator's engine checks that once
+    /// per run rather than once per vault.
     pub fn new(params: &DramParams, start: SimTime) -> Self {
-        params.validate().expect("invalid DRAM parameters");
         Vault {
             tcl: params.tcl,
             trcd: params.trcd,

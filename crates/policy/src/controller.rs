@@ -9,6 +9,7 @@
 //! consulting the network-aware rescue pool) when its measured latency
 //! overhead exceeds its allowable memory slowdown.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use memnet_net::mech::{LinkPowerMode, Mechanism, RooParams, RooThreshold};
@@ -43,6 +44,14 @@ impl PolicyKind {
             PolicyKind::NetworkAware => "network-aware",
             PolicyKind::StaticSelection => "static selection",
         }
+    }
+
+    /// Whether this policy can manage links built with `mechanism`.
+    /// Static selection assigns the VWL widths of
+    /// [`static_width_decisions`], which only a VWL link has; every other
+    /// policy chooses among the mechanism's own modes.
+    pub fn manages(self, mechanism: Mechanism) -> bool {
+        self != PolicyKind::StaticSelection || mechanism == Mechanism::Vwl
     }
 
     /// Parses the CLI/manifest spellings (`fp|full`, `unaware`, `aware`,
@@ -139,6 +148,10 @@ struct LinkState {
     /// One delay monitor per candidate bandwidth mode; index 0 is the
     /// full-power monitor (the link-latency FEL estimator).
     monitors: Vec<DelayMonitor>,
+    /// Virtual departure times of the packets still in the full-power
+    /// monitor's queue, ascending: how many older packets an arrival
+    /// queues behind at full power (the QF input).
+    in_flight: VecDeque<SimTime>,
     histogram: IdleHistogram,
     sampler: WakeupSampler,
     /// Aggregate measured read-packet latency this epoch (the AEL link part).
@@ -167,22 +180,8 @@ struct LinkState {
 impl LinkState {
     fn new(mechanism: Mechanism, roo: RooParams, sampler_period: u64) -> Self {
         LinkState {
-            monitors: mechanism
-                .bw_modes()
-                .iter()
-                .enumerate()
-                // Only the full-power monitor's queue depth feeds the QF
-                // statistic; the rest skip the virtual-queue bookkeeping.
-                .map(
-                    |(i, &m)| {
-                        if i == 0 {
-                            DelayMonitor::new(m)
-                        } else {
-                            DelayMonitor::new_untracked(m)
-                        }
-                    },
-                )
-                .collect(),
+            monitors: mechanism.bw_modes().iter().map(|&m| DelayMonitor::new(m)).collect(),
+            in_flight: VecDeque::new(),
             histogram: IdleHistogram::new(),
             sampler: WakeupSampler::new(roo.wakeup_latency, sampler_period),
             actual_read_latency: SimDuration::ZERO,
@@ -358,19 +357,22 @@ impl PowerController {
         let managed =
             matches!(self.cfg.kind, PolicyKind::NetworkUnaware | PolicyKind::NetworkAware);
         let st = &mut self.links[link.0];
-        if managed {
-            for m in &mut st.monitors {
-                m.record(arrival, flits, is_read);
-            }
-        } else {
-            // Unmanaged policies never read the alternate-mode monitors
-            // (only `flo` does): feed just the full-power reference, which
-            // the QF and FEL statistics come from.
-            st.monitors[0].record(arrival, flits, is_read);
+        while st.in_flight.front().is_some_and(|&done| done <= arrival) {
+            st.in_flight.pop_front();
         }
         st.total_packets += 1;
-        if st.monitors[0].queue_depth_at_last_arrival() >= 3 {
+        if st.in_flight.len() >= 3 {
             st.queued_packets += 1;
+        }
+        let (full, alternates) = st.monitors.split_first_mut().expect("a full-power monitor");
+        st.in_flight.push_back(full.record(arrival, flits, is_read));
+        // Unmanaged policies never read the alternate-mode monitors (only
+        // `flo` does), so they feed just the full-power reference, which
+        // the QF and FEL statistics come from.
+        if managed {
+            for m in alternates {
+                m.record(arrival, flits, is_read);
+            }
         }
         st.queuing_delay += start.saturating_since(arrival);
         if is_read {
@@ -942,6 +944,31 @@ mod tests {
             let done = t + SimDuration::from_ps(640);
             c.on_packet_departure(link, t, t, done, 1, true);
             c.on_idle_interval(link, SimDuration::from_ps(999_360));
+        }
+    }
+
+    #[test]
+    fn queuing_fraction_counts_arrivals_behind_three_full_power_packets() {
+        for kind in [PolicyKind::FullPower, PolicyKind::NetworkAware] {
+            let mut c = controller(kind, Mechanism::VwlRoo, 4);
+            let link = LinkId::of(ModuleId(0), Direction::Request);
+            // Four 5-flit packets at once: at full power they leave at
+            // 3.2, 6.4, 9.6 and 12.8 ns, so only the fourth arrival finds
+            // three older packets in the virtual queue.
+            for _ in 0..4 {
+                c.on_packet_departure(link, SimTime::ZERO, SimTime::ZERO, SimTime::ZERO, 5, true);
+            }
+            assert_eq!(c.links[link.0].queued_packets, 1, "{kind:?}");
+            // At 6.4 ns the first two have left: two ahead, not queued.
+            let t = SimTime::from_ps(6_400);
+            c.on_packet_departure(link, t, t, t, 5, true);
+            assert_eq!(c.links[link.0].queued_packets, 1, "{kind:?}");
+            // Once the virtual queue drains, nothing is ahead.
+            let t = SimTime::from_ps(1_000_000);
+            c.on_packet_departure(link, t, t, t, 1, true);
+            assert_eq!(c.links[link.0].in_flight.len(), 1, "{kind:?}");
+            assert_eq!(c.links[link.0].total_packets, 6, "{kind:?}");
+            assert!((c.links[link.0].queuing_fraction() - 1.0 / 6.0).abs() < 1e-12);
         }
     }
 

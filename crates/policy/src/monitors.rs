@@ -6,8 +6,6 @@
 //! under a different bandwidth mode) and the idle-interval histogram of
 //! RAMZzz [21] (which predicts rapid-on/off wakeup overheads).
 
-use std::collections::VecDeque;
-
 use memnet_net::mech::{BwMode, RooThreshold};
 use memnet_simcore::{SimDuration, SimTime};
 
@@ -39,13 +37,6 @@ pub struct DelayMonitor {
     virtual_busy_until: SimTime,
     read_latency_sum: SimDuration,
     read_packets: u64,
-    /// Virtual completion times of packets still in the simulated queue,
-    /// used to measure queue depth at arrival (for the QF statistic).
-    /// Empty and unmaintained for [`DelayMonitor::new_untracked`]
-    /// monitors.
-    in_flight: VecDeque<SimTime>,
-    track_depth: bool,
-    queue_depth_at_last_arrival: usize,
 }
 
 impl DelayMonitor {
@@ -57,19 +48,7 @@ impl DelayMonitor {
             virtual_busy_until: SimTime::ZERO,
             read_latency_sum: SimDuration::ZERO,
             read_packets: 0,
-            in_flight: VecDeque::new(),
-            track_depth: true,
-            queue_depth_at_last_arrival: 0,
         }
-    }
-
-    /// Creates a monitor that skips queue-depth tracking. Latency sums are
-    /// identical to [`DelayMonitor::new`]; only
-    /// [`DelayMonitor::queue_depth_at_last_arrival`] stays zero. Use for
-    /// the non-reference monitors whose depth nobody reads — the virtual
-    /// queue is the expensive part of `record`.
-    pub fn new_untracked(mode: BwMode) -> Self {
-        DelayMonitor { track_depth: false, ..DelayMonitor::new(mode) }
     }
 
     /// The mode being simulated.
@@ -78,33 +57,16 @@ impl DelayMonitor {
     }
 
     /// Feeds one packet arrival; returns the packet's virtual departure.
+    #[inline]
     pub fn record(&mut self, arrival: SimTime, flits: u64, is_read: bool) -> SimTime {
-        if self.track_depth {
-            while let Some(&front) = self.in_flight.front() {
-                if front <= arrival {
-                    self.in_flight.pop_front();
-                } else {
-                    break;
-                }
-            }
-            self.queue_depth_at_last_arrival = self.in_flight.len();
-        }
         let start = arrival.max(self.virtual_busy_until);
         let done = start + self.flit_time * flits;
         self.virtual_busy_until = done;
-        if self.track_depth {
-            self.in_flight.push_back(done);
-        }
         if is_read {
             self.read_latency_sum += done - arrival;
             self.read_packets += 1;
         }
         done
-    }
-
-    /// Number of older packets the most recent arrival queued behind.
-    pub fn queue_depth_at_last_arrival(&self) -> usize {
-        self.queue_depth_at_last_arrival
     }
 
     /// Aggregate latency of read packets under the simulated mode.
@@ -286,18 +248,6 @@ mod tests {
         // Only the read's latency is accumulated.
         assert_eq!(m.read_latency_sum().as_ps(), 3_840);
         assert_eq!(m.read_packets(), 1);
-    }
-
-    #[test]
-    fn monitor_queue_depth_counts_older_packets() {
-        let mut m = DelayMonitor::new(BwMode::FULL_VWL);
-        for _ in 0..4 {
-            m.record(SimTime::ZERO, 5, true);
-        }
-        assert_eq!(m.queue_depth_at_last_arrival(), 3);
-        // After the virtual queue drains, depth drops to zero.
-        m.record(SimTime::from_ps(1_000_000), 1, true);
-        assert_eq!(m.queue_depth_at_last_arrival(), 0);
     }
 
     #[test]

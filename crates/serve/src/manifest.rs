@@ -530,6 +530,7 @@ impl Manifest {
                 ConfigError::BadAlpha(_) => "run.alpha_pct",
                 ConfigError::BadEvalPeriod => "run.eval_us",
                 ConfigError::BadFaults(_) => "run.faults",
+                ConfigError::BadMechanism(_) => "run.mechanism",
             };
             ManifestError::new(path, None, e.to_string())
         })?;

@@ -46,9 +46,9 @@ proptest! {
             1..400,
         )
     ) {
-        // The queue's wheel covers 4.19 µs past its cursor; these times
-        // reach ~5 such horizons past the frontier, and some land behind
-        // it. Every pop must be the (time, push order) minimum.
+        // The queue's two wheel levels reach about 4.4 µs past its cursor;
+        // these times reach ~5 such horizons past the frontier, and some
+        // land behind it. Every pop must be the (time, push order) minimum.
         let mut q = EventQueue::new();
         let mut reference: Vec<(u64, usize)> = Vec::new();
         let mut frontier = 0u64;

@@ -41,50 +41,52 @@ macro_rules! workload {
     };
 }
 
+static WORKLOADS: [WorkloadSpec; 14] = [
+    // --- NAS class D, 16 threads ---
+    workload!("ua.D", Hpc, 14 GB, util 0.45, on 0.70, burst_us 3,
+        cdf &[(0.0, 0.0), (6.0, 0.55), (14.0, 1.0)]),
+    workload!("lu.D", Hpc, 10 GB, util 0.55, on 0.90, burst_us 4,
+        cdf &[(0.0, 0.0), (5.0, 0.60), (10.0, 1.0)]),
+    workload!("bt.D", Hpc, 22 GB, util 0.35, on 0.60, burst_us 3,
+        cdf &[(0.0, 0.0), (8.0, 0.50), (22.0, 1.0)]),
+    workload!("sp.D", Hpc, 22 GB, util 0.08, on 0.30, burst_us 1,
+        cdf &[(0.0, 0.0), (10.0, 0.50), (22.0, 1.0)]),
+    workload!("cg.D", Hpc, 30 GB, util 0.30, on 0.50, burst_us 2,
+        cdf &[(0.0, 0.0), (8.0, 0.60), (20.0, 0.70), (30.0, 1.0)]),
+    workload!("mg.D", Hpc, 26 GB, util 0.50, on 0.80, burst_us 3,
+        cdf &[(0.0, 0.0), (10.0, 0.45), (26.0, 1.0)]),
+    workload!("is.D", Hpc, 36 GB, util 0.25, on 0.40, burst_us 2,
+        cdf &[(0.0, 0.0), (6.0, 0.50), (28.0, 0.60), (36.0, 1.0)]),
+    // --- Cloud mixes (Table III) ---
+    workload!("mixA", Cloud, 14 GB, util 0.55, on 0.70, burst_us 2,
+        cdf &[(0.0, 0.0), (4.0, 0.45), (9.0, 0.75), (14.0, 1.0)]),
+    workload!("mixB", Cloud, 12 GB, util 0.75, on 0.90, burst_us 3,
+        cdf &[(0.0, 0.0), (3.0, 0.50), (7.0, 0.80), (12.0, 1.0)]),
+    workload!("mixC", Cloud, 12 GB, util 0.60, on 0.75, burst_us 2,
+        cdf &[(0.0, 0.0), (4.0, 0.55), (8.0, 0.80), (12.0, 1.0)]),
+    workload!("mixD", Cloud, 8 GB, util 0.30, on 0.50, burst_us 1,
+        cdf &[(0.0, 0.0), (2.0, 0.40), (6.0, 0.80), (8.0, 1.0)]),
+    workload!("mixE", Cloud, 8 GB, util 0.35, on 0.50, burst_us 2,
+        cdf &[(0.0, 0.0), (3.0, 0.50), (8.0, 1.0)]),
+    workload!("mixF", Cloud, 10 GB, util 0.40, on 0.60, burst_us 2,
+        cdf &[(0.0, 0.0), (3.0, 0.45), (10.0, 1.0)]),
+    workload!("mixG", Cloud, 12 GB, util 0.60, on 0.70, burst_us 2,
+        cdf &[(0.0, 0.0), (4.0, 0.60), (9.0, 0.85), (12.0, 1.0)]),
+];
+
 /// All 14 workloads, HPC first, in the order the paper's figures use.
-pub fn all() -> Vec<WorkloadSpec> {
-    vec![
-        // --- NAS class D, 16 threads ---
-        workload!("ua.D", Hpc, 14 GB, util 0.45, on 0.70, burst_us 3,
-            cdf &[(0.0, 0.0), (6.0, 0.55), (14.0, 1.0)]),
-        workload!("lu.D", Hpc, 10 GB, util 0.55, on 0.90, burst_us 4,
-            cdf &[(0.0, 0.0), (5.0, 0.60), (10.0, 1.0)]),
-        workload!("bt.D", Hpc, 22 GB, util 0.35, on 0.60, burst_us 3,
-            cdf &[(0.0, 0.0), (8.0, 0.50), (22.0, 1.0)]),
-        workload!("sp.D", Hpc, 22 GB, util 0.08, on 0.30, burst_us 1,
-            cdf &[(0.0, 0.0), (10.0, 0.50), (22.0, 1.0)]),
-        workload!("cg.D", Hpc, 30 GB, util 0.30, on 0.50, burst_us 2,
-            cdf &[(0.0, 0.0), (8.0, 0.60), (20.0, 0.70), (30.0, 1.0)]),
-        workload!("mg.D", Hpc, 26 GB, util 0.50, on 0.80, burst_us 3,
-            cdf &[(0.0, 0.0), (10.0, 0.45), (26.0, 1.0)]),
-        workload!("is.D", Hpc, 36 GB, util 0.25, on 0.40, burst_us 2,
-            cdf &[(0.0, 0.0), (6.0, 0.50), (28.0, 0.60), (36.0, 1.0)]),
-        // --- Cloud mixes (Table III) ---
-        workload!("mixA", Cloud, 14 GB, util 0.55, on 0.70, burst_us 2,
-            cdf &[(0.0, 0.0), (4.0, 0.45), (9.0, 0.75), (14.0, 1.0)]),
-        workload!("mixB", Cloud, 12 GB, util 0.75, on 0.90, burst_us 3,
-            cdf &[(0.0, 0.0), (3.0, 0.50), (7.0, 0.80), (12.0, 1.0)]),
-        workload!("mixC", Cloud, 12 GB, util 0.60, on 0.75, burst_us 2,
-            cdf &[(0.0, 0.0), (4.0, 0.55), (8.0, 0.80), (12.0, 1.0)]),
-        workload!("mixD", Cloud, 8 GB, util 0.30, on 0.50, burst_us 1,
-            cdf &[(0.0, 0.0), (2.0, 0.40), (6.0, 0.80), (8.0, 1.0)]),
-        workload!("mixE", Cloud, 8 GB, util 0.35, on 0.50, burst_us 2,
-            cdf &[(0.0, 0.0), (3.0, 0.50), (8.0, 1.0)]),
-        workload!("mixF", Cloud, 10 GB, util 0.40, on 0.60, burst_us 2,
-            cdf &[(0.0, 0.0), (3.0, 0.45), (10.0, 1.0)]),
-        workload!("mixG", Cloud, 12 GB, util 0.60, on 0.70, burst_us 2,
-            cdf &[(0.0, 0.0), (4.0, 0.60), (9.0, 0.85), (12.0, 1.0)]),
-    ]
+pub fn all() -> &'static [WorkloadSpec] {
+    &WORKLOADS
 }
 
 /// Looks up one workload by its paper name.
 pub fn by_name(name: &str) -> Option<WorkloadSpec> {
-    all().into_iter().find(|w| w.name == name)
+    WORKLOADS.iter().find(|w| w.name == name).cloned()
 }
 
 /// The 14 workload names in figure order.
 pub fn names() -> Vec<&'static str> {
-    all().into_iter().map(|w| w.name).collect()
+    WORKLOADS.iter().map(|w| w.name).collect()
 }
 
 #[cfg(test)]
@@ -95,7 +97,7 @@ mod tests {
     fn fourteen_workloads_all_valid() {
         let ws = all();
         assert_eq!(ws.len(), 14);
-        for w in &ws {
+        for w in ws {
             w.validate().unwrap_or_else(|e| panic!("{e}"));
         }
     }

@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn figure4_series_is_monotone_for_all_workloads() {
         for w in catalog::all() {
-            let cdf = AddressCdf::from_spec(&w);
+            let cdf = AddressCdf::from_spec(w);
             let series = cdf.figure4_series(38);
             assert_eq!(series.len(), 39);
             for pair in series.windows(2) {

@@ -98,7 +98,7 @@ static CDF_8: &[(f64, f64)] = &[(0.0, 0.0), (8.0, 1.0)];
 static CDF_12: &[(f64, f64)] = &[(0.0, 0.0), (12.0, 1.0)];
 static CDF_16: &[(f64, f64)] = &[(0.0, 0.0), (16.0, 1.0)];
 
-fn base(
+const fn base(
     name: &'static str,
     footprint_gb: u64,
     cdf: &'static [(f64, f64)],
@@ -119,33 +119,32 @@ fn base(
     }
 }
 
+static STRESS: [StressSpec; 4] = [
+    StressSpec { base: base("adv.phase", 12, CDF_12, 0.50), pattern: StressPattern::PhaseShift },
+    StressSpec {
+        base: base("adv.wakestorm", 16, CDF_16, 0.20),
+        pattern: StressPattern::WakeChainStorm,
+    },
+    StressSpec {
+        base: base("adv.hotburst", 12, CDF_12, 0.60),
+        pattern: StressPattern::AllLinksHot,
+    },
+    StressSpec { base: base("adv.flip", 8, CDF_8, 0.40), pattern: StressPattern::DutyFlip },
+];
+
 /// All stress workloads, in catalog order.
-pub fn all() -> Vec<StressSpec> {
-    vec![
-        StressSpec {
-            base: base("adv.phase", 12, CDF_12, 0.50),
-            pattern: StressPattern::PhaseShift,
-        },
-        StressSpec {
-            base: base("adv.wakestorm", 16, CDF_16, 0.20),
-            pattern: StressPattern::WakeChainStorm,
-        },
-        StressSpec {
-            base: base("adv.hotburst", 12, CDF_12, 0.60),
-            pattern: StressPattern::AllLinksHot,
-        },
-        StressSpec { base: base("adv.flip", 8, CDF_8, 0.40), pattern: StressPattern::DutyFlip },
-    ]
+pub fn all() -> &'static [StressSpec] {
+    &STRESS
 }
 
 /// Looks up one stress workload by name.
 pub fn by_name(name: &str) -> Option<StressSpec> {
-    all().into_iter().find(|s| s.base.name == name)
+    STRESS.iter().find(|s| s.base.name == name).cloned()
 }
 
 /// The stress workload names in catalog order.
 pub fn names() -> Vec<&'static str> {
-    all().into_iter().map(|s| s.base.name).collect()
+    STRESS.iter().map(|s| s.base.name).collect()
 }
 
 /// The network parameters a stress pattern aims at. Taken from the run's
@@ -320,7 +319,7 @@ mod tests {
     fn catalog_has_four_valid_specs_with_distinct_names() {
         let specs = all();
         assert_eq!(specs.len(), 4);
-        for s in &specs {
+        for s in specs {
             s.base.validate().unwrap_or_else(|e| panic!("{e}"));
             assert!(s.name().starts_with("adv."), "{}", s.name());
         }

@@ -17,7 +17,7 @@ proptest! {
 
     #[test]
     fn cdf_quantile_is_monotone(idx in workload_index(), us in prop::collection::vec(0.0f64..=1.0, 2..40)) {
-        let spec = catalog::all().remove(idx);
+        let spec = catalog::all()[idx].clone();
         let cdf = AddressCdf::from_spec(&spec);
         let mut sorted = us.clone();
         sorted.sort_by(f64::total_cmp);
@@ -29,7 +29,7 @@ proptest! {
 
     #[test]
     fn cdf_forward_inverse_round_trip(idx in workload_index(), u in 0.001f64..0.999) {
-        let spec = catalog::all().remove(idx);
+        let spec = catalog::all()[idx].clone();
         let cdf = AddressCdf::from_spec(&spec);
         let gb = cdf.quantile(u);
         // Forward evaluation recovers u except on flat (cold) segments,
@@ -40,7 +40,7 @@ proptest! {
 
     #[test]
     fn generator_is_deterministic_and_in_range(idx in workload_index(), seed in any::<u64>()) {
-        let spec = catalog::all().remove(idx);
+        let spec = catalog::all()[idx].clone();
         let lines = spec.total_lines();
         let mut g1 = RequestGenerator::new(spec.clone(), SplitMix64::new(seed));
         let mut g2 = RequestGenerator::new(spec, SplitMix64::new(seed));
@@ -61,7 +61,7 @@ proptest! {
         // converted to a line address: on flat-topped CDFs the quantile
         // retreats to the last segment carrying mass, and sample_line
         // clamps the footprint edge itself.
-        let spec = catalog::all().remove(idx);
+        let spec = catalog::all()[idx].clone();
         let cdf = AddressCdf::from_spec(&spec);
         prop_assert!(cdf.quantile(u) <= spec.footprint_gb as f64);
         let lines_per_gb = (1u64 << 30) / 64;
@@ -71,7 +71,7 @@ proptest! {
 
     #[test]
     fn sampled_lines_stay_in_range_for_every_catalog_spec(idx in workload_index(), seed in any::<u64>()) {
-        let spec = catalog::all().remove(idx);
+        let spec = catalog::all()[idx].clone();
         let lines = spec.total_lines();
         let cdf = AddressCdf::from_spec(&spec);
         let mut rng = SplitMix64::new(seed);
@@ -82,7 +82,7 @@ proptest! {
 
     #[test]
     fn stress_generators_are_deterministic_and_in_range(idx in stress_index(), seed in any::<u64>()) {
-        let spec = stress::all().remove(idx);
+        let spec = stress::all()[idx].clone();
         let lines = spec.base.total_lines();
         let env = StressEnv {
             epoch: SimDuration::from_us(100),
@@ -107,7 +107,7 @@ proptest! {
         // sample variance of the mean inter-arrival is dominated by the
         // count of quiet periods observed; 150k arrivals keeps the
         // relative error within ~20 % even for the burstiest specs.
-        let spec = catalog::all().remove(idx);
+        let spec = catalog::all()[idx].clone();
         let target = spec.mean_interarrival().as_ps() as f64;
         let mut g = RequestGenerator::new(spec, SplitMix64::new(99));
         let n = 150_000;
@@ -124,7 +124,7 @@ proptest! {
 #[test]
 fn every_workload_cdf_spans_exactly_its_footprint() {
     for spec in catalog::all() {
-        let cdf = AddressCdf::from_spec(&spec);
+        let cdf = AddressCdf::from_spec(spec);
         assert_eq!(cdf.footprint_gb(), spec.footprint_gb as f64, "{}", spec.name);
         assert_eq!(cdf.fraction_at(spec.footprint_gb as f64), 1.0, "{}", spec.name);
     }
@@ -135,7 +135,7 @@ fn sampled_cdf_matches_analytic_cdf() {
     // Kolmogorov–Smirnov-style check: the empirical CDF of 100k samples
     // stays within 1.5 % of the analytic CDF at every integer GB.
     for spec in catalog::all() {
-        let cdf = AddressCdf::from_spec(&spec);
+        let cdf = AddressCdf::from_spec(spec);
         let mut rng = SplitMix64::new(2024);
         let n = 100_000;
         let lines_per_gb = (1u64 << 30) / 64;

@@ -298,6 +298,30 @@ fn run_manifest_rejections_carry_field_path_and_line() {
 }
 
 #[test]
+fn static_selection_off_vwl_is_refused_before_it_runs() {
+    // Static selection sets VWL widths; on a ROO link they are not modes
+    // at all, and the run used to print a report anyway.
+    let out = memnet(&["--policy", "static", "--mechanism", "roo", "--eval-us", "20"]);
+    assert!(!out.status.success(), "static + ROO must fail");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("static selection") && err.contains("ROO"), "names both: {err}");
+    assert!(out.stdout.is_empty(), "no report: {}", String::from_utf8_lossy(&out.stdout));
+
+    let manifest = tmp("static-roo-manifest.json");
+    std::fs::write(
+        &manifest,
+        "{\n  \"schema\": \"memnet-manifest\",\n  \"v\": 1,\n  \"run\": {\n    \
+         \"policy\": \"static\",\n    \"mechanism\": \"roo\",\n    \"eval_us\": 20\n  }\n}\n",
+    )
+    .unwrap();
+    let out = memnet(&["run-manifest", manifest.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(4), "rejected manifests exit 4");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("run.mechanism: invalid mechanism"), "names the field: {err}");
+    let _ = std::fs::remove_file(&manifest);
+}
+
+#[test]
 fn figures_render_named_sections_and_reject_unknown_names() {
     let golden = |name: &str| {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");

@@ -13,7 +13,11 @@ use std::fs;
 use std::path::PathBuf;
 
 use memnet_bench::{figures, Matrix, Settings};
-use memnet_simcore::SimDuration;
+use memnet_core::{AddressMapping, NetworkScale, PolicyKind, SimConfig};
+use memnet_faults::FaultConfig;
+use memnet_net::TopologyKind;
+use memnet_policy::Mechanism;
+use memnet_simcore::{AuditReport, SimDuration};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("golden")
@@ -108,6 +112,76 @@ fn figure_text_matches_golden_snapshots() {
     check_golden("stress", &figures::stress(&mut matrix, &settings));
     // Dual-backend energy differential: analytical vs IDD pricing.
     check_golden("model_diff", &figures::model_diff(&mut matrix, &settings));
+}
+
+/// FNV-1a 64 over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Pins the engine's event delivery order on configurations that cover
+/// the event queue's delay mix: same-instant steps, link and router
+/// steps, DRAM reads, every ROO turn-off check up to 2.048 µs, fault
+/// retries, mode changes and epoch ends. Each line holds the exact event
+/// count, completed reads and a digest of the whole report (its `audit`
+/// section cleared, since the audit level follows the environment), so
+/// any change in which event runs when shows up here even where the
+/// figure goldens' rounded text would not move.
+#[test]
+fn delivery_order_matches_golden() {
+    let base = |workload: &str, topology, policy, mechanism| {
+        SimConfig::builder()
+            .workload(workload)
+            .topology(topology)
+            .scale(NetworkScale::Small)
+            .policy(policy)
+            .mechanism(mechanism)
+            .seed(7)
+    };
+    let configs = [
+        (
+            "aware-vwl+roo-two-epochs",
+            base("mixD", TopologyKind::TernaryTree, PolicyKind::NetworkAware, Mechanism::VwlRoo)
+                .eval_period(SimDuration::from_us(210)),
+        ),
+        (
+            "unaware-roo-t2048",
+            base("sp.D", TopologyKind::Star, PolicyKind::NetworkUnaware, Mechanism::Roo)
+                .eval_period(SimDuration::from_us(40)),
+        ),
+        (
+            "aware-dvfs+roo-mode-changes",
+            base("mixE", TopologyKind::DaisyChain, PolicyKind::NetworkAware, Mechanism::DvfsRoo)
+                .epoch(SimDuration::from_us(10))
+                .eval_period(SimDuration::from_us(40)),
+        ),
+        (
+            "unaware-vwl-ber-burst-retries",
+            base("mixB", TopologyKind::TernaryTree, PolicyKind::NetworkUnaware, Mechanism::Vwl)
+                .faults(FaultConfig::parse("ber=1e-5,burst=severe").expect("valid fault spec"))
+                .epoch(SimDuration::from_us(15))
+                .eval_period(SimDuration::from_us(35)),
+        ),
+        (
+            "static-vwl-interleaved",
+            base("cg.D", TopologyKind::TernaryTree, PolicyKind::StaticSelection, Mechanism::Vwl)
+                .mapping(AddressMapping::PageInterleaved)
+                .eval_period(SimDuration::from_us(30)),
+        ),
+    ];
+    let mut text = String::new();
+    for (name, builder) in configs {
+        let mut report = builder.build().expect("golden configurations are valid").run();
+        report.audit = AuditReport::default();
+        let digest = fnv1a(serde::json::to_string(&report).as_bytes());
+        text.push_str(&format!(
+            "{name} events={} reads={} report_fnv1a={digest:016x}\n",
+            report.events_processed, report.completed_reads
+        ));
+    }
+    check_golden("delivery_order", &text);
 }
 
 #[test]
