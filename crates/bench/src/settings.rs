@@ -13,7 +13,7 @@ use crate::shard::Shard;
 pub const DEFAULT_CACHE_DIR: &str = "target/memnet-cache";
 
 /// Batch-level experiment settings.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Settings {
     /// Simulated evaluation period per run.
     pub eval_period: SimDuration,

@@ -22,8 +22,9 @@ use crate::engine::Engine;
 use crate::frontend::TrafficSource;
 use crate::metrics::RunReport;
 
-/// The RNG seed of every run that does not set one: the CLI, manifests,
-/// sweeps and the figures all default to it.
+/// The RNG seed of every run that neither sets one nor replays a trace
+/// (a replay takes the trace's): the CLI, manifests, sweeps and the
+/// figures all default to it.
 pub const DEFAULT_SEED: u64 = 0xC0FFEE;
 
 /// Which network-size study a run belongs to.
@@ -311,7 +312,9 @@ pub struct SimConfigBuilder {
     eval_period: SimDuration,
     roo_params: RooParams,
     mapping: AddressMapping,
-    seed: u64,
+    /// `None` until [`Self::seed`] sets it; [`Self::build`] then picks
+    /// the replayed trace's seed, else [`DEFAULT_SEED`].
+    seed: Option<u64>,
     max_outstanding_reads: usize,
     write_buffer: usize,
     dram: DramParams,
@@ -328,7 +331,10 @@ pub struct SimConfigBuilder {
 
 impl SimConfigBuilder {
     /// Creates a builder with paper defaults: mixB on a small ternary
-    /// tree, full power, α = 5 %, 100 µs epochs, 1 ms evaluation.
+    /// tree, full power, α = 5 %, 100 µs epochs, 1 ms evaluation, seed
+    /// [`DEFAULT_SEED`] (see [`Self::replay`] for a replay's), fault-free,
+    /// unobserved, analytical energy. The CLI and manifests both start
+    /// from here, so these are every entry point's defaults.
     pub fn new() -> Self {
         SimConfigBuilder {
             workload: "mixB".to_owned(),
@@ -341,7 +347,7 @@ impl SimConfigBuilder {
             eval_period: SimDuration::from_ms(1),
             roo_params: RooParams::fast(),
             mapping: AddressMapping::Contiguous,
-            seed: DEFAULT_SEED,
+            seed: None,
             max_outstanding_reads: 64,
             write_buffer: 128,
             dram: DramParams::hmc_gen2(),
@@ -417,9 +423,9 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the RNG seed.
+    /// Sets the RNG seed, for a replay too.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.seed = Some(seed);
         self
     }
 
@@ -492,9 +498,10 @@ impl SimConfigBuilder {
 
     /// Replays a recorded request trace instead of running a generator.
     /// The workload is forced to the one named in the trace header (its
-    /// footprint sizes the network), overriding [`Self::workload`]; the
-    /// seed still defaults independently, so pass the trace's seed for a
-    /// bit-identical rerun.
+    /// footprint sizes the network), overriding [`Self::workload`]. The
+    /// run takes the trace's recorded seed, so the rerun is bit-identical
+    /// to the recorded one, unless [`Self::seed`] sets another (before or
+    /// after this call).
     pub fn replay(mut self, trace: Arc<RequestTrace>) -> Self {
         self.replay = Some(trace);
         self
@@ -506,6 +513,7 @@ impl SimConfigBuilder {
     ///
     /// Returns a [`ConfigError`] naming the invalid field.
     pub fn build(self) -> Result<SimConfig, ConfigError> {
+        let seed = self.seed.or(self.replay.as_ref().map(|t| t.seed)).unwrap_or(DEFAULT_SEED);
         // A replay forces the workload named in its header (the footprint
         // sizes the network identically to the recorded run); otherwise
         // the name resolves through the paper catalog first, then the
@@ -570,7 +578,7 @@ impl SimConfigBuilder {
             eval_period: self.eval_period,
             roo_params: self.roo_params,
             mapping: self.mapping,
-            seed: self.seed,
+            seed,
             max_outstanding_reads: self.max_outstanding_reads,
             write_buffer: self.write_buffer,
             dram: self.dram,
@@ -686,6 +694,18 @@ mod tests {
         assert!(matches!(cfg.source, TrafficSpec::Replay(_)));
         // Replay runs cannot themselves be recorded.
         assert!(cfg.record_trace(10).is_err());
+    }
+
+    #[test]
+    fn a_replay_runs_under_its_trace_seed_unless_one_is_set() {
+        let window = || SimConfig::builder().eval_period(SimDuration::from_us(2));
+        let recorded = window().workload("mixD").seed(5).build().unwrap();
+        let trace = Arc::new(recorded.record_trace(100_000).unwrap());
+        assert_eq!(window().replay(trace.clone()).build().unwrap().seed, 5);
+        // An explicit seed wins, set before or after the replay.
+        assert_eq!(window().seed(9).replay(trace.clone()).build().unwrap().seed, 9);
+        assert_eq!(window().replay(trace).seed(9).build().unwrap().seed, 9);
+        assert_eq!(window().build().unwrap().seed, DEFAULT_SEED);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A trace is newline-delimited JSON: one header object, then interleaved
 //! event and `sample` objects in time order, then one `end` footer. This
 //! module re-parses that stream with the workspace's own JSON parser,
-//! validates it against [`OBS_SCHEMA_VERSION`](crate::OBS_SCHEMA_VERSION),
+//! validates it against [`OBS_SCHEMA_VERSION`],
 //! and renders the two artifacts the experiments workflow wants: a
 //! per-link residency table and an epoch CSV for plotting.
 

@@ -1,10 +1,10 @@
 //! Hardware-counter models: delay monitors, idle-interval histograms and
 //! the wakeup-arrival sampler.
 //!
-//! These model the counters of Ahn et al. [20] (delay monitor/counter
+//! These model the counters of Ahn et al. \[20\] (delay monitor/counter
 //! pairs that estimate what a link's aggregate latency *would have been*
 //! under a different bandwidth mode) and the idle-interval histogram of
-//! RAMZzz [21] (which predicts rapid-on/off wakeup overheads).
+//! RAMZzz \[21\] (which predicts rapid-on/off wakeup overheads).
 
 use memnet_net::mech::{BwMode, RooThreshold};
 use memnet_simcore::{SimDuration, SimTime};
@@ -87,7 +87,7 @@ impl DelayMonitor {
     }
 }
 
-/// Idle-interval histogram (adapted from RAMZzz [21]): one bucket per ROO
+/// Idle-interval histogram (adapted from RAMZzz \[21\]): one bucket per ROO
 /// threshold, where bucket `k` counts idle intervals in
 /// `[threshold_k, threshold_{k+1})` and the last bucket is open-ended.
 ///

@@ -2,7 +2,7 @@
 
 //! The HMC memory-network power model and energy accounting.
 //!
-//! Following the paper's model (from Pugsley et al. [12]):
+//! Following the paper's model (from Pugsley et al. \[12\]):
 //!
 //! - a high-radix HMC (four full links) peaks at **13.4 W**, split
 //!   **43 % DRAM / 22 % logic / 35 % I/O**;

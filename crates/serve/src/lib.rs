@@ -39,7 +39,7 @@ pub use job::{
     EXIT_ERROR, EXIT_LIMIT_EXCEEDED, EXIT_PASS, EXIT_REJECTED,
 };
 pub use manifest::{
-    Assertions, Limits, Manifest, ManifestError, ResolvedJob, RunSpec, SweepSpec, MANIFEST_SCHEMA,
+    Assertions, Limits, Manifest, ManifestError, ResolvedJob, SweepSpec, MANIFEST_SCHEMA,
     MANIFEST_VERSION,
 };
 pub use server::{Server, ServerConfig, Stats};

@@ -23,12 +23,16 @@
 //! }
 //! ```
 //!
-//! Every `run` field is optional and defaults to the CLI default; the
-//! whole `limits` and `assertions` sections may be omitted. Unknown keys
-//! are rejected at every level — a typo'd assertion must not silently
-//! pass. Errors carry the offending JSON field path and (best-effort)
-//! line number, following the line-numbered-error idiom of the
-//! calibration CSV parser.
+//! Every `run` field is optional and fills a [`SimConfigBuilder`], the
+//! same spec the CLI fills, so an omitted field keeps the builder's
+//! default; only `audit` starts off. A `replay` runs under the seed
+//! recorded in its trace unless `seed` is set. The whole `limits` and
+//! `assertions` sections may be omitted. Unknown keys are rejected at
+//! every level — a typo'd assertion must not silently pass. Errors carry
+//! the offending JSON field path and (best-effort) line number, following
+//! the line-numbered-error idiom of the calibration CSV parser; a run
+//! that names no replay is built while parsing, so its configuration
+//! errors are located too.
 //!
 //! Manifests never read environment variables: the energy backend, audit
 //! level and fault scenario are exactly what the document says (defaults:
@@ -61,7 +65,7 @@ use std::sync::Arc;
 use memnet_bench::figures::sweep_figures;
 use memnet_bench::shard::MAX_SHARDS;
 use memnet_bench::{fingerprint, Settings};
-use memnet_core::{ConfigError, NetworkScale, PolicyKind, SimConfig, DEFAULT_SEED};
+use memnet_core::{ConfigError, NetworkScale, PolicyKind, SimConfig, SimConfigBuilder};
 use memnet_faults::FaultConfig;
 use memnet_net::TopologyKind;
 use memnet_policy::Mechanism;
@@ -129,62 +133,6 @@ fn line_of_byte_error(text: &str, msg: &str) -> Option<usize> {
     )
 }
 
-/// The `run` section: a complete simulation spec, CLI defaults applied.
-#[derive(Debug, Clone)]
-pub struct RunSpec {
-    /// Workload name (catalog or `adv.*` stress). A replay manifest takes
-    /// the recorded trace's workload instead.
-    pub workload: String,
-    /// Network shape.
-    pub topology: TopologyKind,
-    /// Small or big study.
-    pub scale: NetworkScale,
-    /// Management policy.
-    pub policy: PolicyKind,
-    /// Circuit-level mechanism.
-    pub mechanism: Mechanism,
-    /// Allowable slowdown α in percent.
-    pub alpha_pct: f64,
-    /// Evaluation period in microseconds.
-    pub eval_us: u64,
-    /// Seed; `None` means the CLI default (or a replay trace's own seed).
-    pub seed: Option<u64>,
-    /// Fault scenario (canonical spec retained in [`FaultConfig::spec`]).
-    pub faults: FaultConfig,
-    /// Server-side path to a recorded request trace to replay.
-    pub replay: Option<String>,
-    /// Energy pricing backend. Explicit in the manifest — never the
-    /// `MEMNET_ENERGY_BACKEND` environment variable, which would poison
-    /// the shared cache fingerprint.
-    pub energy_backend: EnergyBackendKind,
-    /// Server-side path to a calibration JSON ([`IddModel`]); requires
-    /// the `idd` backend.
-    pub calibration: Option<String>,
-    /// Audit level. Explicit in the manifest (default off), so a
-    /// manifest run is byte-identical across ambient `MEMNET_AUDIT`.
-    pub audit: AuditLevel,
-}
-
-impl Default for RunSpec {
-    fn default() -> RunSpec {
-        RunSpec {
-            workload: "mixB".to_owned(),
-            topology: TopologyKind::TernaryTree,
-            scale: NetworkScale::Small,
-            policy: PolicyKind::FullPower,
-            mechanism: Mechanism::FullPower,
-            alpha_pct: 5.0,
-            eval_us: 1_000,
-            seed: None,
-            faults: FaultConfig::none(),
-            replay: None,
-            energy_backend: EnergyBackendKind::Analytical,
-            calibration: None,
-            audit: AuditLevel::Off,
-        }
-    }
-}
-
 /// The `limits` section: everything that may stop the run early.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Limits {
@@ -232,13 +180,12 @@ pub struct SweepSpec {
     pub figures: Vec<String>,
     /// How many shards to split the cell set into (1..=[`MAX_SHARDS`]).
     pub shards: u32,
-    /// Evaluation period per cell, microseconds.
-    pub eval_us: u64,
-    /// Base RNG seed for every cell.
-    pub seed: u64,
-    /// Attach the observability section to every report (a fingerprint
-    /// dimension — observed and unobserved sweeps cache separately).
-    pub obs: bool,
+    /// The bench settings every shard runs under: [`Settings::default`]
+    /// on one thread (the daemon runs shards single-threaded like any
+    /// other job; thread count never affects results), with the
+    /// document's `eval_us`, `seed` and `obs` (a fingerprint dimension:
+    /// observed and unobserved sweeps cache separately).
+    pub settings: Settings,
     /// Server-side path the merged result JSONL is written to, if any.
     pub out: Option<String>,
 }
@@ -248,34 +195,24 @@ impl Default for SweepSpec {
         SweepSpec {
             figures: sweep_figures().into_iter().map(String::from).collect(),
             shards: 1,
-            eval_us: 1_000,
-            seed: DEFAULT_SEED,
-            obs: false,
+            settings: Settings { threads: 1, ..Settings::default() },
             out: None,
         }
     }
 }
 
-impl SweepSpec {
-    /// The bench [`Settings`] every shard of this sweep runs under. The
-    /// daemon executes shards single-threaded like any other job; thread
-    /// count never affects results.
-    pub fn settings(&self) -> Settings {
-        Settings {
-            eval_period: SimDuration::from_us(self.eval_us),
-            threads: 1,
-            seed: self.seed,
-            obs: self.obs,
-            ..Settings::default()
-        }
-    }
-}
-
 /// One parsed, schema-checked manifest.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Manifest {
-    /// The run spec.
-    pub run: RunSpec,
+    /// The run spec: the builder's defaults with audit off, then the
+    /// `run` section's fields. Never read from the environment.
+    pub run: SimConfigBuilder,
+    /// Server-side path to a recorded request trace to replay
+    /// (`run.replay`); [`Manifest::resolve`] loads it.
+    pub replay: Option<String>,
+    /// Server-side path to a calibration JSON ([`IddModel`],
+    /// `run.calibration`); [`Manifest::resolve`] loads it.
+    pub calibration: Option<String>,
     /// Execution limits.
     pub limits: Limits,
     /// Result assertions.
@@ -382,7 +319,14 @@ impl Manifest {
                 format!("not valid JSON: {}", e.0),
             )
         })?;
-        let mut manifest = Manifest::default();
+        let mut manifest = Manifest {
+            run: SimConfig::builder().audit(AuditLevel::Off),
+            replay: None,
+            calibration: None,
+            limits: Limits::default(),
+            assertions: Assertions::default(),
+            sweep: None,
+        };
         let mut saw_schema = false;
         let mut version: Option<u64> = None;
         let mut run_sections: Vec<&str> = Vec::new();
@@ -407,7 +351,7 @@ impl Manifest {
                 }
                 "run" => {
                     run_sections.push("run");
-                    manifest.run = parse_run(text, f.value)?;
+                    parse_run(text, f.value, &mut manifest)?;
                 }
                 "limits" => {
                     run_sections.push("limits");
@@ -453,15 +397,11 @@ impl Manifest {
                 ));
             }
         }
-        if manifest.run.calibration.is_some()
-            && manifest.run.energy_backend != EnergyBackendKind::Idd
-        {
-            return Err(ManifestError::new(
-                "run.calibration",
-                line_of(text, "calibration"),
-                "calibration requires \"energy_backend\": \"idd\" (the analytical model has no \
-                 calibratable mode table)",
-            ));
+        // A replay's workload comes from its trace, so only `resolve`
+        // can build it; any other run is checked here, where the text
+        // still locates the field at fault.
+        if manifest.replay.is_none() {
+            manifest.run.clone().build().map_err(|e| config_error(e, Some(text)))?;
         }
         Ok(manifest)
     }
@@ -479,61 +419,26 @@ impl Manifest {
                  (offline: `memnet run-manifest` executes every shard sequentially)",
             ));
         }
-        let run = &self.run;
-        let replay: Option<Arc<RequestTrace>> = match &run.replay {
-            None => None,
-            Some(path) => {
-                let err = |msg: String| ManifestError::new("run.replay", None, msg);
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| err(format!("reading {path}: {e}")))?;
-                let trace = RequestTrace::parse_jsonl(&text)
-                    .map_err(|e| err(format!("invalid trace {path}: {e}")))?;
-                Some(Arc::new(trace))
-            }
+        let load = |field: &str, path: &str| {
+            std::fs::read_to_string(path)
+                .map_err(|e| ManifestError::new(field, None, format!("reading {path}: {e}")))
         };
-        let calibration: Option<IddModel> = match &run.calibration {
-            None => None,
-            Some(path) => {
-                let err = |msg: String| ManifestError::new("run.calibration", None, msg);
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| err(format!("reading {path}: {e}")))?;
-                let model = json::from_str::<IddModel>(&text)
-                    .map_err(|e| err(format!("invalid calibration {path}: {e}")))?;
-                Some(model)
-            }
-        };
-        let seed = run.seed.unwrap_or(match &replay {
-            Some(trace) => trace.seed,
-            None => DEFAULT_SEED,
-        });
-        let mut builder = SimConfig::builder()
-            .workload(&run.workload)
-            .topology(run.topology)
-            .scale(run.scale)
-            .policy(run.policy)
-            .mechanism(run.mechanism)
-            .alpha(run.alpha_pct / 100.0)
-            .eval_period(SimDuration::from_us(run.eval_us))
-            .seed(seed)
-            .faults(run.faults.clone())
-            .energy_backend(run.energy_backend)
-            .audit(run.audit);
-        if let Some(trace) = replay {
-            builder = builder.replay(trace);
+        let mut run = self.run.clone();
+        if let Some(path) = &self.replay {
+            let trace = RequestTrace::parse_jsonl(&load("run.replay", path)?).map_err(|e| {
+                ManifestError::new("run.replay", None, format!("invalid trace {path}: {e}"))
+            })?;
+            run = run.replay(Arc::new(trace));
         }
-        if let Some(model) = calibration {
-            builder = builder.calibration(model);
+        if let Some(path) = &self.calibration {
+            let model =
+                json::from_str::<IddModel>(&load("run.calibration", path)?).map_err(|e| {
+                    let msg = format!("invalid calibration {path}: {e}");
+                    ManifestError::new("run.calibration", None, msg)
+                })?;
+            run = run.calibration(model);
         }
-        let cfg = builder.build().map_err(|e| {
-            let path = match &e {
-                ConfigError::UnknownWorkload(_) => "run.workload",
-                ConfigError::BadAlpha(_) => "run.alpha_pct",
-                ConfigError::BadEvalPeriod => "run.eval_us",
-                ConfigError::BadFaults(_) => "run.faults",
-                ConfigError::BadMechanism(_) => "run.mechanism",
-            };
-            ManifestError::new(path, None, e.to_string())
-        })?;
+        let cfg = run.build().map_err(|e| config_error(e, None))?;
         let fingerprint = fingerprint(&cfg);
 
         // A run truncated by an event budget or a sub-eval sim-time cap is
@@ -542,7 +447,8 @@ impl Manifest {
         // not keep a run from the cache (a finished report trivially meets
         // it), but it may stop the run it is given to, so it is part of
         // the job key: a submission without the limit never shares it.
-        let truncating_sim_cap = self.limits.max_sim_time_us.filter(|&us| us < run.eval_us);
+        let truncating_sim_cap =
+            self.limits.max_sim_time_us.filter(|&us| SimDuration::from_us(us) < cfg.eval_period);
         let cache_eligible = self.limits.max_events.is_none() && truncating_sim_cap.is_none();
         let mut job_key = fingerprint.clone();
         if let Some(n) = self.limits.max_events {
@@ -559,8 +465,22 @@ impl Manifest {
     }
 }
 
-fn parse_run(text: &str, value: &Value) -> Result<RunSpec, ManifestError> {
-    let mut run = RunSpec::default();
+/// Locates a [`ConfigError`] at the `run` field it names: on its line
+/// when the manifest `text` is at hand and names the field.
+fn config_error(e: ConfigError, text: Option<&str>) -> ManifestError {
+    let key = match &e {
+        ConfigError::UnknownWorkload(_) => "workload",
+        ConfigError::BadAlpha(_) => "alpha_pct",
+        ConfigError::BadEvalPeriod => "eval_us",
+        ConfigError::BadFaults(_) => "faults",
+        ConfigError::BadMechanism(_) => "mechanism",
+    };
+    ManifestError::new(format!("run.{key}"), text.and_then(|t| line_of(t, key)), e.to_string())
+}
+
+/// Applies the `run` section to `m`: its run fields onto the spec, its
+/// two file paths beside it.
+fn parse_run(text: &str, value: &Value, m: &mut Manifest) -> Result<(), ManifestError> {
     const KNOWN: &[&str] = &[
         "workload",
         "topology",
@@ -577,31 +497,35 @@ fn parse_run(text: &str, value: &Value) -> Result<RunSpec, ManifestError> {
         "calibration",
         "audit",
     ];
+    let mut idd = false;
     walk_section(text, "run", value, KNOWN, |key, f| {
-        match key {
-            "workload" => run.workload = f.str()?.to_owned(),
+        let run = std::mem::take(&mut m.run);
+        m.run = match key {
+            "workload" => run.workload(f.str()?),
             "topology" => {
                 let v = f.str()?;
-                run.topology = TopologyKind::parse(v).ok_or_else(|| {
+                run.topology(TopologyKind::parse(v).ok_or_else(|| {
                     f.err(format!("unknown topology {v:?} (daisychain|ternary|star|ddrx)"))
-                })?;
+                })?)
             }
             "scale" => {
                 let v = f.str()?;
-                run.scale = NetworkScale::parse(v)
-                    .ok_or_else(|| f.err(format!("unknown scale {v:?} (small|big)")))?;
+                run.scale(
+                    NetworkScale::parse(v)
+                        .ok_or_else(|| f.err(format!("unknown scale {v:?} (small|big)")))?,
+                )
             }
             "policy" => {
                 let v = f.str()?;
-                run.policy = PolicyKind::parse(v).ok_or_else(|| {
+                run.policy(PolicyKind::parse(v).ok_or_else(|| {
                     f.err(format!("unknown policy {v:?} (fp|unaware|aware|static)"))
-                })?;
+                })?)
             }
             "mechanism" => {
                 let v = f.str()?;
-                run.mechanism = Mechanism::parse(v).ok_or_else(|| {
+                run.mechanism(Mechanism::parse(v).ok_or_else(|| {
                     f.err(format!("unknown mechanism {v:?} (fp|vwl|roo|vwl+roo|dvfs|dvfs+roo)"))
-                })?;
+                })?)
             }
             "alpha_pct" => {
                 // Cache fingerprints hold α in whole tenths of a percent
@@ -613,10 +537,10 @@ fn parse_run(text: &str, value: &Value) -> Result<RunSpec, ManifestError> {
                         "{pct} is not a whole number of tenths of a percent (e.g. 2.5)"
                     )));
                 }
-                run.alpha_pct = pct;
+                run.alpha(pct / 100.0)
             }
-            "eval_us" => run.eval_us = f.us()?,
-            "seed" => run.seed = Some(f.u64()?),
+            "eval_us" => run.eval_period(SimDuration::from_us(f.us()?)),
+            "seed" => run.seed(f.u64()?),
             "channels" => {
                 // Mirrors `memnet replay`'s multichannel refusal: manifest
                 // runs share the replay/record identity machinery, which
@@ -627,30 +551,51 @@ fn parse_run(text: &str, value: &Value) -> Result<RunSpec, ManifestError> {
                          submit one manifest per channel instead)",
                     ));
                 }
+                run
             }
             "faults" => {
                 let v = f.str()?;
-                run.faults =
-                    FaultConfig::parse(v).map_err(|e| f.err(format!("bad fault scenario: {e}")))?;
+                run.faults(
+                    FaultConfig::parse(v).map_err(|e| f.err(format!("bad fault scenario: {e}")))?,
+                )
             }
-            "replay" => run.replay = Some(f.str()?.to_owned()),
+            "replay" => {
+                m.replay = Some(f.str()?.to_owned());
+                run
+            }
             "energy_backend" => {
                 let v = f.str()?;
-                run.energy_backend = EnergyBackendKind::parse(v).ok_or_else(|| {
+                let kind = EnergyBackendKind::parse(v).ok_or_else(|| {
                     f.err(format!("unknown energy backend {v:?} (analytical|idd)"))
                 })?;
+                idd = kind == EnergyBackendKind::Idd;
+                run.energy_backend(kind)
             }
-            "calibration" => run.calibration = Some(f.str()?.to_owned()),
+            "calibration" => {
+                m.calibration = Some(f.str()?.to_owned());
+                run
+            }
             "audit" => {
                 let v = f.str()?;
-                run.audit = AuditLevel::parse(v)
-                    .ok_or_else(|| f.err(format!("unknown audit level {v:?} (off|cheap|full)")))?;
+                run.audit(
+                    AuditLevel::parse(v).ok_or_else(|| {
+                        f.err(format!("unknown audit level {v:?} (off|cheap|full)"))
+                    })?,
+                )
             }
             _ => unreachable!("walk_section rejects unknown keys"),
-        }
+        };
         Ok(())
     })?;
-    Ok(run)
+    if m.calibration.is_some() && !idd {
+        return Err(ManifestError::new(
+            "run.calibration",
+            line_of(text, "calibration"),
+            "calibration requires \"energy_backend\": \"idd\" (the analytical model has no \
+             calibratable mode table)",
+        ));
+    }
+    Ok(())
 }
 
 fn parse_limits(text: &str, value: &Value) -> Result<Limits, ManifestError> {
@@ -744,10 +689,10 @@ fn parse_sweep(text: &str, value: &Value) -> Result<SweepSpec, ManifestError> {
                 if n == 0 {
                     return Err(f.err("must be positive"));
                 }
-                sweep.eval_us = n;
+                sweep.settings.eval_period = SimDuration::from_us(n);
             }
-            "seed" => sweep.seed = f.u64()?,
-            "obs" => sweep.obs = f.bool()?,
+            "seed" => sweep.settings.seed = f.u64()?,
+            "obs" => sweep.settings.obs = f.bool()?,
             "out" => sweep.out = Some(f.str()?.to_owned()),
             _ => unreachable!("walk_section rejects unknown keys"),
         }
@@ -782,6 +727,8 @@ pub struct ResolvedJob {
 
 #[cfg(test)]
 mod tests {
+    use memnet_core::DEFAULT_SEED;
+
     use super::*;
 
     fn manifest(s: &str) -> Result<Manifest, ManifestError> {
@@ -791,13 +738,18 @@ mod tests {
     const MINIMAL: &str = "{\"schema\":\"memnet-manifest\",\"v\":1}";
 
     #[test]
-    fn minimal_manifest_gets_cli_defaults() {
+    fn minimal_manifest_gets_the_builder_defaults() {
         let m = manifest(MINIMAL).expect("minimal manifest parses");
-        assert_eq!(m.run.workload, "mixB");
-        assert_eq!(m.run.eval_us, 1_000);
-        assert_eq!(m.run.energy_backend, EnergyBackendKind::Analytical);
-        assert_eq!(m.run.audit, AuditLevel::Off);
-        assert!(m.run.faults.is_none());
+        let cfg = m.resolve().expect("the defaults resolve").cfg;
+        assert_eq!(fingerprint(&cfg), fingerprint(&SimConfig::builder().build().unwrap()));
+        assert_eq!(cfg.workload.name, "mixB");
+        assert_eq!(cfg.eval_period, SimDuration::from_ms(1));
+        assert_eq!(cfg.seed, DEFAULT_SEED);
+        assert_eq!(cfg.energy_backend, EnergyBackendKind::Analytical);
+        // Only the audit level departs from the builder, which reads
+        // MEMNET_AUDIT.
+        assert_eq!(cfg.audit, AuditLevel::Off);
+        assert!(cfg.faults.is_none());
         assert_eq!(m.limits, Limits::default());
         assert_eq!(m.assertions.expected_exit, "completed");
     }
@@ -922,14 +874,21 @@ mod tests {
     }
 
     #[test]
-    fn unknown_workload_resolves_to_a_pathed_error() {
-        let m =
+    fn unknown_workload_is_refused_at_parse_with_its_line() {
+        let err =
             manifest("{\"schema\":\"memnet-manifest\",\"v\":1,\"run\":{\"workload\":\"nope\"}}")
-                .unwrap();
-        let err = m.resolve().unwrap_err();
+                .unwrap_err();
         assert_eq!(err.path, "run.workload");
+        assert_eq!(err.line, Some(1));
         assert!(err.msg.contains("unknown workload \"nope\""));
         assert!(err.msg.contains("mixB"), "lists the catalog: {}", err.msg);
+        // A replay runs the workload its trace names, so only `resolve`,
+        // which reads the trace, can build it.
+        manifest(
+            "{\"schema\":\"memnet-manifest\",\"v\":1,\
+             \"run\":{\"workload\":\"nope\",\"replay\":\"t.jsonl\"}}",
+        )
+        .expect("a replay manifest is built at resolve");
     }
 
     #[test]
@@ -982,9 +941,10 @@ mod tests {
         assert_eq!(sweep, SweepSpec::default());
         assert_eq!(sweep.figures.len(), sweep_figures().len(), "defaults to every figure");
         assert_eq!(sweep.shards, 1);
-        assert_eq!(sweep.eval_us, 1_000);
-        assert_eq!(sweep.seed, DEFAULT_SEED);
-        assert!(!sweep.obs);
+        assert_eq!(sweep.settings, Settings { threads: 1, ..Settings::default() });
+        assert_eq!(sweep.settings.eval_period, SimDuration::from_ms(1));
+        assert_eq!(sweep.settings.seed, DEFAULT_SEED);
+        assert!(!sweep.settings.obs);
         assert!(sweep.out.is_none());
 
         let m = manifest(
@@ -996,9 +956,9 @@ mod tests {
         let sweep = m.sweep.unwrap();
         assert_eq!(sweep.figures, ["fig05", "model_diff"]);
         assert_eq!(sweep.shards, 4);
-        assert_eq!(sweep.eval_us, 50);
-        assert_eq!(sweep.seed, 7);
-        assert!(sweep.obs);
+        assert_eq!(sweep.settings.eval_period, SimDuration::from_us(50));
+        assert_eq!(sweep.settings.seed, 7);
+        assert!(sweep.settings.obs);
         assert_eq!(sweep.out.as_deref(), Some("m.jsonl"));
     }
 

@@ -60,7 +60,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use memnet_bench::shard::{self, Shard, SweepPlan};
-use memnet_bench::{DiskCache, EnsureStats, Location, Matrix, Settings};
+use memnet_bench::{DiskCache, EnsureStats, Location, Matrix};
 use memnet_core::{RunReport, StopReason};
 use serde::{json, Serialize};
 
@@ -192,7 +192,6 @@ struct SweepSlots {
 struct SweepRun {
     spec: SweepSpec,
     plan: SweepPlan,
-    settings: Settings,
     job_key: String,
     cancel: AtomicBool,
     started: AtomicBool,
@@ -628,10 +627,9 @@ fn submit_sweep(state: &Arc<State>, client: u64, out: &Arc<ConnOut>, manifest: &
         state.sched.lock().unwrap().stats.rejected += 1;
         out.send(&event_rejected(err));
     };
-    let spec = manifest.sweep.clone().expect("submit_sweep is only called for sweep manifests");
-    let mut settings = spec.settings();
-    settings.cache_dir = state.cache_dir.clone();
-    let plan = match SweepPlan::new(&spec.figures, &settings) {
+    let mut spec = manifest.sweep.clone().expect("submit_sweep is only called for sweep manifests");
+    spec.settings.cache_dir = state.cache_dir.clone();
+    let plan = match SweepPlan::new(&spec.figures, &spec.settings) {
         Ok(plan) => plan,
         Err(e) => {
             return reject(&crate::ManifestError { path: "sweep".to_owned(), line: None, msg: e })
@@ -673,7 +671,6 @@ fn submit_sweep(state: &Arc<State>, client: u64, out: &Arc<ConnOut>, manifest: &
         started: AtomicBool::new(false),
         spec,
         plan,
-        settings,
         job_key: job_key.clone(),
     });
     out.send(&event_sweep_queued(job_id, &run, false));
@@ -879,7 +876,7 @@ fn run_sweep_shard(state: &Arc<State>, run: &Arc<SweepRun>, index: u32) {
     } else {
         let mut matrix = Matrix::new();
         let piece = Shard { index, of: run.spec.shards };
-        match shard::run_shard(&run.plan, piece, &run.settings, &mut matrix) {
+        match shard::run_shard(&run.plan, piece, &run.spec.settings, &mut matrix) {
             Ok(pair) => Some(pair),
             // Registry plans are always simulable, so this only fires on
             // a registry bug; degrade to a cancelled sweep rather than
@@ -896,7 +893,7 @@ fn run_sweep_shard(state: &Arc<State>, run: &Arc<SweepRun>, index: u32) {
         let mut slots = run.slots.lock().unwrap();
         if let Some((text, stats)) = result {
             slots.texts[index as usize] = Some(text);
-            sweep::add_stats(&mut slots.stats, stats);
+            slots.stats += stats;
         }
         slots.done += 1;
         (slots.done, slots.done == run.spec.shards)

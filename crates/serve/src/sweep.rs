@@ -106,14 +106,6 @@ pub fn sweep_payload(
     }
 }
 
-/// Sums ensure counters across shards.
-pub fn add_stats(total: &mut EnsureStats, part: EnsureStats) {
-    total.requested += part.requested;
-    total.memoized += part.memoized;
-    total.cache_hits += part.cache_hits;
-    total.simulated += part.simulated;
-}
-
 /// Parses and merges per-shard result texts (produced by
 /// [`shard::run_shard`]) into the final sweep text. `names` label parse
 /// errors; pass one per text, in the same order.
@@ -135,15 +127,15 @@ pub fn run_sweep_manifest(manifest: &Manifest) -> Result<(SweepPayload, String),
         .as_ref()
         .ok_or_else(|| ManifestError::new("sweep", None, "not a sweep manifest"))?;
     let err = |msg: String| ManifestError::new("sweep", None, msg);
-    let settings = spec.settings();
-    let plan = SweepPlan::new(&spec.figures, &settings).map_err(err)?;
+    let plan = SweepPlan::new(&spec.figures, &spec.settings).map_err(err)?;
     let mut texts = Vec::with_capacity(spec.shards as usize);
     let mut stats = EnsureStats::default();
     for index in 0..spec.shards {
         let mut matrix = Matrix::new();
         let piece = Shard { index, of: spec.shards };
-        let (text, part) = shard::run_shard(&plan, piece, &settings, &mut matrix).map_err(err)?;
-        add_stats(&mut stats, part);
+        let (text, part) =
+            shard::run_shard(&plan, piece, &spec.settings, &mut matrix).map_err(err)?;
+        stats += part;
         texts.push((format!("shard {piece}"), text));
     }
     let merged = merge_texts(&texts).map_err(err)?;
@@ -188,7 +180,7 @@ mod tests {
     fn job_key_tracks_the_sweep_identity() {
         let m = sweep_manifest(",\"shards\":2");
         let spec = m.sweep.as_ref().unwrap();
-        let plan = SweepPlan::new(&spec.figures, &spec.settings()).unwrap();
+        let plan = SweepPlan::new(&spec.figures, &spec.settings).unwrap();
         let key = sweep_job_key(spec, &plan);
         assert!(key.starts_with("sweep|figs=model_diff|shards=2|set="), "{key}");
         let mut named = spec.clone();

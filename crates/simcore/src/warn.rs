@@ -2,7 +2,7 @@
 //!
 //! Every crate that needs to surface a non-fatal problem (an unparsable
 //! environment variable, a stale cache entry, a clamped setting) routes it
-//! through [`memnet_warn!`] so all warnings carry the same greppable
+//! through [`memnet_warn!`](crate::memnet_warn!) so all warnings carry the same greppable
 //! `[memnet:warn]` prefix — `grep '\[memnet:warn\]'` over a CI log finds
 //! every one, regardless of which subsystem emitted it.
 
@@ -24,7 +24,7 @@ macro_rules! memnet_warn {
 /// Prints an informational progress line to stderr with the `[memnet]`
 /// prefix.
 ///
-/// The companion to [`memnet_warn!`] for non-warning chatter (progress,
+/// The companion to [`memnet_warn!`](crate::memnet_warn!) for non-warning chatter (progress,
 /// bookkeeping, file-written notices) that should stay off stdout —
 /// stdout is reserved for machine-readable output — without masquerading
 /// as a warning. Routing every stderr write through one of these two

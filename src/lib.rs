@@ -22,7 +22,7 @@
 //! - [`policy`] — power-control mechanisms and management policies
 //! - [`workload`] — the 14 paper workloads as synthetic generators
 //! - [`core`] — the simulator engine, configuration and reports
-//! - [`bench`] — the figure/experiment matrix, its persistent result
+//! - [`bench`](mod@bench) — the figure/experiment matrix, its persistent result
 //!   cache and the sweep shard partitioner
 //! - [`serve`] — the manifest-driven batch simulation server
 //!

@@ -63,9 +63,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use memnet::core::multichannel::run_channels;
-use memnet::core::{
-    report_text, NetworkScale, PolicyKind, SimConfig, SimConfigBuilder, DEFAULT_SEED,
-};
+use memnet::core::{report_text, NetworkScale, PolicyKind, SimConfig, SimConfigBuilder};
 use memnet::faults::FaultConfig;
 use memnet::net::TopologyKind;
 use memnet::obs::{summary, ObsConfig};
@@ -75,20 +73,11 @@ use memnet::workload::RequestTrace;
 use memnet_simcore::{memnet_log, memnet_warn, SimDuration};
 
 struct Args {
-    workload: String,
-    topology: TopologyKind,
-    scale: NetworkScale,
-    policy: PolicyKind,
-    mechanism: Mechanism,
-    alpha: f64,
-    eval_us: u64,
-    /// None = unset on the command line: the default is [`DEFAULT_SEED`]
-    /// for live runs but the recorded seed for replays.
-    seed: Option<u64>,
+    /// The run: the builder's defaults, then the `MEMNET_FAULTS`,
+    /// `MEMNET_ENERGY_BACKEND` and `MEMNET_TRACE*` environment, then the
+    /// run flags.
+    spec: SimConfigBuilder,
     channels: usize,
-    faults: FaultConfig,
-    obs: ObsConfig,
-    energy_backend: EnergyBackendKind,
     json: bool,
     compare: bool,
 }
@@ -160,95 +149,90 @@ fn usage() -> &'static str {
 }
 
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
-    let mut args = Args {
-        workload: "mixB".into(),
-        topology: TopologyKind::TernaryTree,
-        scale: NetworkScale::Small,
-        policy: PolicyKind::FullPower,
-        mechanism: Mechanism::FullPower,
-        alpha: 5.0,
-        eval_us: 1_000,
-        seed: None,
-        channels: 1,
-        faults: FaultConfig::from_env(),
-        obs: ObsConfig::from_env(),
-        energy_backend: EnergyBackendKind::from_env(),
-        json: false,
-        compare: false,
-    };
+    let mut spec = SimConfig::builder()
+        .faults(FaultConfig::from_env())
+        .energy_backend(EnergyBackendKind::from_env());
+    // The trace flags each set one field, so the observability config is
+    // assembled here and joins the spec once every flag is read.
+    let mut obs = ObsConfig::from_env();
+    let (mut channels, mut json, mut compare) = (1, false, false);
     let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match flag.as_str() {
-            "--workload" | "-w" => args.workload = value("--workload")?,
+            "--workload" | "-w" => spec = spec.workload(&value("--workload")?),
             "--topology" | "-t" => {
                 let v = value("--topology")?;
-                args.topology =
+                let kind =
                     TopologyKind::parse(&v).ok_or_else(|| format!("unknown topology {v:?}"))?;
+                spec = spec.topology(kind);
             }
             "--scale" | "-s" => {
                 let v = value("--scale")?;
-                args.scale =
+                let scale =
                     NetworkScale::parse(&v).ok_or_else(|| format!("unknown scale {v:?}"))?;
+                spec = spec.scale(scale);
             }
             "--policy" | "-p" => {
                 let v = value("--policy")?;
-                args.policy =
+                let policy =
                     PolicyKind::parse(&v).ok_or_else(|| format!("unknown policy {v:?}"))?;
+                spec = spec.policy(policy);
             }
             "--mechanism" | "-m" => {
                 let v = value("--mechanism")?;
-                args.mechanism =
+                let mechanism =
                     Mechanism::parse(&v).ok_or_else(|| format!("unknown mechanism {v:?}"))?;
+                spec = spec.mechanism(mechanism);
             }
             "--alpha" | "-a" => {
-                args.alpha = value("--alpha")?.parse().map_err(|e| format!("bad alpha: {e}"))?
+                let pct: f64 = value("--alpha")?.parse().map_err(|e| format!("bad alpha: {e}"))?;
+                spec = spec.alpha(pct / 100.0);
             }
             "--eval-us" => {
                 let us = value("--eval-us")?.parse().map_err(|e| format!("bad eval-us: {e}"))?;
-                if SimDuration::try_from_us(us).is_none() {
-                    return Err(format!(
-                        "bad eval-us: {us} exceeds the {} us maximum",
-                        SimDuration::MAX_US
-                    ));
-                }
-                args.eval_us = us;
+                let period = SimDuration::try_from_us(us).ok_or_else(|| {
+                    format!("bad eval-us: {us} exceeds the {} us maximum", SimDuration::MAX_US)
+                })?;
+                spec = spec.eval_period(period);
             }
             "--seed" => {
-                args.seed = Some(value("--seed")?.parse().map_err(|e| format!("bad seed: {e}"))?)
+                spec = spec.seed(value("--seed")?.parse().map_err(|e| format!("bad seed: {e}"))?)
             }
             "--channels" => {
-                args.channels =
+                channels =
                     value("--channels")?.parse().map_err(|e| format!("bad channels: {e}"))?;
-                if args.channels == 0 {
+                if channels == 0 {
                     return Err("bad channels: must be at least 1".to_owned());
                 }
             }
             "--faults" => {
-                args.faults = FaultConfig::parse(&value("--faults")?)
-                    .map_err(|e| format!("bad fault scenario: {e}"))?
+                let faults = FaultConfig::parse(&value("--faults")?)
+                    .map_err(|e| format!("bad fault scenario: {e}"))?;
+                spec = spec.faults(faults);
             }
-            "--obs" => args.obs.enabled = true,
-            "--trace" => args.obs.trace_path = Some(value("--trace")?),
-            "--trace-packets" => args.obs.packets = true,
+            "--obs" => obs.enabled = true,
+            "--trace" => obs.trace_path = Some(value("--trace")?),
+            "--trace-packets" => obs.packets = true,
             "--trace-every" => {
-                args.obs.trace_every =
+                obs.trace_every =
                     value("--trace-every")?.parse().map_err(|e| format!("bad trace-every: {e}"))?;
-                if args.obs.trace_every == 0 {
+                if obs.trace_every == 0 {
                     return Err("bad trace-every: must be at least 1".to_owned());
                 }
             }
             "--trace-max" => {
-                args.obs.trace_max =
+                obs.trace_max =
                     value("--trace-max")?.parse().map_err(|e| format!("bad trace-max: {e}"))?
             }
             "--energy-backend" => {
                 let v = value("--energy-backend")?;
-                args.energy_backend = EnergyBackendKind::parse(&v)
-                    .ok_or_else(|| format!("unknown energy backend {v:?} (analytical|idd)"))?
+                let kind = EnergyBackendKind::parse(&v)
+                    .ok_or_else(|| format!("unknown energy backend {v:?} (analytical|idd)"))?;
+                spec = spec.energy_backend(kind);
             }
-            "--json" => args.json = true,
-            "--compare" => args.compare = true,
+            "--json" => json = true,
+            "--compare" => compare = true,
             "--list-workloads" => {
                 for w in memnet::workload::catalog::all() {
                     println!(
@@ -277,35 +261,10 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?}\n{}", usage())),
         }
     }
-    if args.obs.packets && args.obs.trace_path.is_none() {
+    if obs.packets && obs.trace_path.is_none() {
         return Err("--trace-packets needs a trace file (--trace FILE or MEMNET_TRACE)".to_owned());
     }
-    Ok(args)
-}
-
-fn build(args: &Args, replay: Option<Arc<RequestTrace>>) -> Result<SimConfig, String> {
-    // Live runs default to the builder's seed; replays default to the
-    // recorded seed so the rerun is bit-identical.
-    let seed = args.seed.unwrap_or(match &replay {
-        Some(trace) => trace.seed,
-        None => DEFAULT_SEED,
-    });
-    let mut builder: SimConfigBuilder = SimConfig::builder()
-        .workload(&args.workload)
-        .topology(args.topology)
-        .scale(args.scale)
-        .policy(args.policy)
-        .mechanism(args.mechanism)
-        .alpha(args.alpha / 100.0)
-        .eval_period(SimDuration::from_us(args.eval_us))
-        .seed(seed)
-        .faults(args.faults.clone())
-        .obs(args.obs.clone())
-        .energy_backend(args.energy_backend);
-    if let Some(trace) = replay {
-        builder = builder.replay(trace);
-    }
-    builder.build().map_err(|e| e.to_string())
+    Ok(Args { spec: spec.obs(obs), channels, json, compare })
 }
 
 /// Splits a subcommand's argument vector into its positional FILE and the
@@ -331,7 +290,7 @@ fn record_command(rest: Vec<String>) -> Result<(), String> {
     if args.channels > 1 {
         return Err("record is single-channel (channels reseed per channel)".to_owned());
     }
-    let cfg = build(&args, None)?;
+    let cfg = args.spec.build().map_err(|e| e.to_string())?;
     // ~56 B/record: the cap bounds the file near 500 MB even if asked to
     // record a very long evaluation period.
     let trace = cfg.record_trace(10_000_000)?;
@@ -362,7 +321,7 @@ fn replay_command(rest: Vec<String>) -> Result<ExitCode, String> {
         trace.workload,
         trace.digest_hex()
     );
-    let cfg = build(&args, Some(Arc::new(trace)))?;
+    let cfg = args.spec.clone().replay(Arc::new(trace)).build().map_err(|e| e.to_string())?;
     Ok(run_and_report(&args, cfg))
 }
 
@@ -462,7 +421,8 @@ fn diff_models_command(rest: Vec<String>) -> Result<ExitCode, String> {
     print!("{table}");
     flagged += n;
 
-    let mut cfg = build(&args, None)?;
+    let mut cfg = args.spec.build().map_err(|e| e.to_string())?;
+    let eval_us = cfg.eval_period.as_ps() / memnet_simcore::time::PS_PER_US;
     cfg.energy_backend = EnergyBackendKind::Analytical;
     let ref_report = cfg.clone().run();
     cfg.energy_backend = EnergyBackendKind::Idd;
@@ -470,7 +430,7 @@ fn diff_models_command(rest: Vec<String>) -> Result<ExitCode, String> {
     let cand_report = cfg.run();
     println!(
         "\nRun energy over {} / {} / {} ({} us)",
-        ref_report.workload, ref_report.policy, ref_report.mechanism, args.eval_us
+        ref_report.workload, ref_report.policy, ref_report.mechanism, eval_us
     );
     let (table, n) = report_text::model_diff_table(
         analytical.name(),
@@ -1101,7 +1061,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let cfg = match build(&args, None) {
+    let cfg = match args.spec.clone().build() {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}\n{}", usage());
@@ -1149,7 +1109,7 @@ fn run_and_report(args: &Args, cfg: SimConfig) -> ExitCode {
         fp.policy = PolicyKind::FullPower;
         fp.mechanism = Mechanism::FullPower;
         reports.push(fp.run());
-        if args.policy != PolicyKind::FullPower {
+        if cfg.policy != PolicyKind::FullPower {
             reports.push(cfg.run());
         } else {
             for (p, m) in [
@@ -1166,6 +1126,7 @@ fn run_and_report(args: &Args, cfg: SimConfig) -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
+    let faulty = !cfg.faults.is_none();
     let report = cfg.run();
     if args.json {
         match serde_json_report(&report) {
@@ -1177,7 +1138,7 @@ fn run_and_report(args: &Args, cfg: SimConfig) -> ExitCode {
         }
     } else {
         print!("{}", report_text::power_breakdown(&report));
-        if !args.faults.is_none() {
+        if faulty {
             print!("{}", report_text::fault_section(&report));
         }
         print!("{}", report_text::obs_section(&report));

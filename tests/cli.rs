@@ -317,7 +317,50 @@ fn static_selection_off_vwl_is_refused_before_it_runs() {
     let out = memnet(&["run-manifest", manifest.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(4), "rejected manifests exit 4");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("run.mechanism: invalid mechanism"), "names the field: {err}");
+    assert!(
+        err.contains("run.mechanism (line 6): invalid mechanism"),
+        "names the field and its line: {err}"
+    );
+    let _ = std::fs::remove_file(&manifest);
+}
+
+/// `completed_reads` and `violations` of a `--json` report, or of the
+/// report in a result payload.
+fn reads_and_violations(out: &Output) -> (u64, u64) {
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let doc = serde::json::parse(&String::from_utf8_lossy(&out.stdout)).expect("JSON on stdout");
+    let report = doc.get("report").unwrap_or(&doc);
+    let count = |key: &str| report.get(key).and_then(|v| v.num::<u64>()).expect(key);
+    (count("completed_reads"), count("violations"))
+}
+
+#[test]
+fn the_cli_and_a_manifest_run_the_same_spec() {
+    let manifest = tmp("same-spec.json");
+    let run_manifest = |run: &str| {
+        std::fs::write(
+            &manifest,
+            format!("{{\"schema\":\"memnet-manifest\",\"v\":1,\"run\":{run}}}"),
+        )
+        .unwrap();
+        memnet(&["run-manifest", manifest.to_str().unwrap()])
+    };
+
+    let cli = memnet(&["--workload", "mixD", "--eval-us", "50", "--json"]);
+    let payload = run_manifest("{\"workload\":\"mixD\",\"eval_us\":50}");
+    assert_eq!(reads_and_violations(&cli), reads_and_violations(&payload));
+
+    // Neither names a seed, so both replays run under the trace's own.
+    let trace = tmp("same-spec-trace.jsonl");
+    let trace_s = trace.to_str().unwrap();
+    let rec = memnet(&["record", trace_s, "--workload", "mixD", "--eval-us", "50", "--seed", "7"]);
+    assert!(rec.status.success(), "record failed: {}", String::from_utf8_lossy(&rec.stderr));
+    let cli = memnet(&["replay", trace_s, "--eval-us", "50", "--json"]);
+    let payload = run_manifest(&format!("{{\"replay\":\"{trace_s}\",\"eval_us\":50}}"));
+    assert_eq!(reads_and_violations(&cli), reads_and_violations(&payload));
+    let stdout = String::from_utf8_lossy(&payload.stdout);
+    assert!(stdout.contains("|seed=7|"), "the replay ran under the trace's seed: {stdout}");
+    let _ = std::fs::remove_file(&trace);
     let _ = std::fs::remove_file(&manifest);
 }
 
