@@ -393,7 +393,7 @@ impl DiskCache {
         for (fp, report) in fresh {
             let entry = Entry { v: CACHE_SCHEMA_VERSION, fp, report: report.into() };
             let start = body.len();
-            body.push_str(&json::to_string(&entry));
+            json::append(&mut body, &entry);
             batch.push((entry.fp, entry.report, start..body.len()));
             body.push('\n');
         }

@@ -278,11 +278,11 @@ pub fn run_shard(
         if !shard.contains(fp) {
             continue;
         }
-        out.push_str(&format!(
-            "{{\"fp\":{},\"report\":{}}}\n",
-            json::to_string(fp.as_str()),
-            json::to_string(matrix.get_seeded(key, *seed)),
-        ));
+        out.push_str("{\"fp\":");
+        json::append(&mut out, fp.as_str());
+        out.push_str(",\"report\":");
+        json::append(&mut out, matrix.get_seeded(key, *seed));
+        out.push_str("}\n");
         count += 1;
     }
     out.push_str(&footer_line(shard, count, stats));

@@ -534,9 +534,12 @@ impl SimConfigBuilder {
             None => source,
         };
         if !(self.alpha > 0.0 && self.alpha < 1.0) {
+            // Both entry points take α in percent, so the refusal speaks
+            // percent too, rounded to a millionth of a percent to hide the
+            // fraction's binary noise (101% is held as 1.0100000000000000089).
             return Err(ConfigError::BadAlpha(format!(
-                "alpha must be in (0, 1), got {}",
-                self.alpha
+                "alpha must be in (0%, 100%), got {}%",
+                (self.alpha * 1e8).round() / 1e6
             )));
         }
         if self.eval_period.is_zero() {
@@ -720,6 +723,11 @@ mod tests {
         assert!(matches!(err, ConfigError::BadAlpha(_)));
         let err = SimConfig::builder().alpha(1.5).build().unwrap_err();
         assert!(matches!(err, ConfigError::BadAlpha(_)));
+        // α is given in percent on every entry point, and refused in it.
+        for (alpha, shown) in [(1.5, "got 150%"), (1.01, "got 101%"), (-0.07, "got -7%")] {
+            let err = SimConfig::builder().alpha(alpha).build().unwrap_err();
+            assert!(err.to_string().contains(shown), "{alpha}: {err}");
+        }
     }
 
     #[test]

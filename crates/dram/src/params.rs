@@ -50,6 +50,14 @@ pub struct DramParams {
 }
 
 impl DramParams {
+    /// Most banks per vault: a [`Vault`](crate::Vault)'s command-buffer
+    /// slots name their bank in 15 bits.
+    pub const MAX_BANKS_PER_VAULT: usize = 1 << 15;
+
+    /// Most command-buffer entries per vault: a vault links its queued
+    /// operations by 16-bit slot index.
+    pub const MAX_VAULT_BUFFER_ENTRIES: usize = u16::MAX as usize;
+
     /// The paper's Table I configuration: a 4 GB, 32-vault HMC.
     pub fn hmc_gen2() -> Self {
         DramParams {
@@ -112,11 +120,21 @@ impl DramParams {
         if self.vaults == 0 {
             return Err("vaults must be positive".into());
         }
-        if self.banks_per_vault == 0 {
-            return Err("banks_per_vault must be positive".into());
+        if self.banks_per_vault == 0 || self.banks_per_vault > Self::MAX_BANKS_PER_VAULT {
+            return Err(format!(
+                "banks_per_vault must be in 1..={}, got {}",
+                Self::MAX_BANKS_PER_VAULT,
+                self.banks_per_vault
+            ));
         }
-        if self.vault_buffer_entries == 0 {
-            return Err("vault_buffer_entries must be positive".into());
+        if self.vault_buffer_entries == 0
+            || self.vault_buffer_entries > Self::MAX_VAULT_BUFFER_ENTRIES
+        {
+            return Err(format!(
+                "vault_buffer_entries must be in 1..={}, got {}",
+                Self::MAX_VAULT_BUFFER_ENTRIES,
+                self.vault_buffer_entries
+            ));
         }
         if self.line_bytes == 0 || !self.line_bytes.is_power_of_two() {
             return Err("line_bytes must be a positive power of two".into());
@@ -165,5 +183,22 @@ mod tests {
         let mut p = DramParams::hmc_gen2();
         p.tras = SimDuration::from_ns(5);
         assert!(p.validate().is_err());
+
+        // A vault's slots name their bank in 15 bits and link each other
+        // by 16-bit index.
+        for (banks, entries, ok) in [
+            (DramParams::MAX_BANKS_PER_VAULT, DramParams::MAX_VAULT_BUFFER_ENTRIES, true),
+            (DramParams::MAX_BANKS_PER_VAULT + 1, 16, false),
+            (8, DramParams::MAX_VAULT_BUFFER_ENTRIES + 1, false),
+            (0, 16, false),
+            (8, 0, false),
+        ] {
+            let p = DramParams {
+                banks_per_vault: banks,
+                vault_buffer_entries: entries,
+                ..DramParams::hmc_gen2()
+            };
+            assert_eq!(p.validate().is_ok(), ok, "{banks} banks, {entries} entries");
+        }
     }
 }

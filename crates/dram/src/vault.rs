@@ -6,7 +6,6 @@
 //! [`Vault::next_issue_time`]), and the vault returns every operation it
 //! issued together with its completion time.
 
-use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -70,7 +69,54 @@ impl fmt::Display for VaultFull {
 
 impl Error for VaultFull {}
 
+/// End of a slot list.
+const NIL: u16 = u16::MAX;
+
+/// `u32` words per command-buffer slot: the operation's id (two words),
+/// its arrival in ps (two words) and a link word holding the next slot
+/// of its list (low 16 bits), its bank (the next 15) and whether it is a
+/// read (the top bit).
+const SLOT_WORDS: usize = 5;
+const BANK_SHIFT: u32 = 16;
+const READ_BIT: u32 = 1 << 31;
+
+/// The `u64` whose low and high halves are `lo` and `hi`.
+fn join(lo: u32, hi: u32) -> u64 {
+    u64::from(lo) | (u64::from(hi) << 32)
+}
+
+/// `value`'s low and high halves.
+fn split(value: u64) -> [u32; 2] {
+    [value as u32, (value >> 32) as u32]
+}
+
+/// A queued operation as its slot holds it.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    id: u64,
+    arrival: SimTime,
+    next: u16,
+    bank: usize,
+    is_read: bool,
+}
+
+/// A FIFO threaded through the command buffer's slots.
+#[derive(Debug, Clone, Copy)]
+struct Fifo {
+    head: u16,
+    tail: u16,
+}
+
+impl Fifo {
+    const EMPTY: Fifo = Fifo { head: NIL, tail: NIL };
+}
+
 /// One HMC vault: command queue, banks, and TSV data bus.
+///
+/// Building a vault allocates nothing. Its bank-ready times and its
+/// command buffer (`vault_buffer_entries` slots shared by reads and
+/// writes) are allocated together, once, by its first
+/// [`Vault::enqueue`], so a vault no request reaches never allocates.
 ///
 /// # Examples
 ///
@@ -97,16 +143,27 @@ pub struct Vault {
     twr: SimDuration,
     burst: SimDuration,
     buffer_entries: usize,
+    banks: usize,
+    /// When the vault was built: every bank is ready from then on.
+    start: SimTime,
 
-    /// Per-bank earliest next-activate time (close page: precharge done).
-    bank_ready: Vec<SimTime>,
     /// Earliest next activate anywhere in the vault (tRRD window).
     next_act_allowed: SimTime,
     /// Data bus free time.
     bus_free: SimTime,
 
-    reads: VecDeque<VaultOp>,
-    writes: VecDeque<VaultOp>,
+    /// Empty until the first enqueue reserves it whole: two words per
+    /// bank holding its earliest next-activate time in ps (close page:
+    /// precharge done), then up to `buffer_entries` slots of
+    /// [`SLOT_WORDS`], pushed as first used and then recycled through
+    /// `free`, so the reservation is never outgrown. Queued slots are
+    /// linked into the FIFO of their class. `u32` words keep a slot at
+    /// 20 bytes.
+    block: Vec<u32>,
+    free: u16,
+    reads: Fifo,
+    writes: Fifo,
+    queued: usize,
 
     reads_issued: u64,
     writes_issued: u64,
@@ -117,7 +174,18 @@ impl Vault {
     /// Creates an idle vault at time `start`. `params` must pass
     /// [`DramParams::validate`]; the simulator's engine checks that once
     /// per run rather than once per vault.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vault has more banks or buffer entries than its
+    /// slots can name ([`DramParams::MAX_BANKS_PER_VAULT`],
+    /// [`DramParams::MAX_VAULT_BUFFER_ENTRIES`]).
     pub fn new(params: &DramParams, start: SimTime) -> Self {
+        assert!(
+            params.banks_per_vault <= DramParams::MAX_BANKS_PER_VAULT
+                && params.vault_buffer_entries <= DramParams::MAX_VAULT_BUFFER_ENTRIES,
+            "vault parameters out of range (see DramParams::validate)"
+        );
         Vault {
             tcl: params.tcl,
             trcd: params.trcd,
@@ -127,11 +195,15 @@ impl Vault {
             twr: params.twr,
             burst: params.line_burst_time(),
             buffer_entries: params.vault_buffer_entries,
-            bank_ready: vec![start; params.banks_per_vault],
+            banks: params.banks_per_vault,
+            start,
             next_act_allowed: start,
             bus_free: start,
-            reads: VecDeque::new(),
-            writes: VecDeque::new(),
+            block: Vec::new(),
+            free: NIL,
+            reads: Fifo::EMPTY,
+            writes: Fifo::EMPTY,
+            queued: 0,
             reads_issued: 0,
             writes_issued: 0,
             read_latency_total: SimDuration::ZERO,
@@ -140,12 +212,12 @@ impl Vault {
 
     /// Number of queued (not yet issued) operations.
     pub fn occupancy(&self) -> usize {
-        self.reads.len() + self.writes.len()
+        self.queued
     }
 
     /// True if another operation can be enqueued.
     pub fn has_space(&self) -> bool {
-        self.occupancy() < self.buffer_entries
+        self.queued < self.buffer_entries
     }
 
     /// Adds an operation to the command queue.
@@ -158,28 +230,58 @@ impl Vault {
     ///
     /// Panics if `op.bank` is out of range.
     pub fn enqueue(&mut self, op: VaultOp) -> Result<(), VaultFull> {
-        assert!(op.bank < self.bank_ready.len(), "bank {} out of range", op.bank);
+        assert!(op.bank < self.banks, "bank {} out of range", op.bank);
         if !self.has_space() {
             return Err(VaultFull);
         }
-        if op.is_read {
-            self.reads.push_back(op);
-        } else {
-            self.writes.push_back(op);
+        if self.block.is_empty() {
+            self.block.reserve_exact(2 * self.banks + SLOT_WORDS * self.buffer_entries);
+            let start = split(self.start.as_ps());
+            for _ in 0..self.banks {
+                self.block.extend(start);
+            }
         }
+        let at = if self.free == NIL {
+            self.block.extend([0; SLOT_WORDS]);
+            ((self.block.len() - 2 * self.banks) / SLOT_WORDS - 1) as u16
+        } else {
+            let at = self.free;
+            self.free = self.next(at);
+            at
+        };
+        let op = Queued {
+            id: op.id,
+            arrival: op.arrival,
+            next: NIL,
+            bank: op.bank,
+            is_read: op.is_read,
+        };
+        self.set_slot(at, op);
+        let fifo = if op.is_read { &mut self.reads } else { &mut self.writes };
+        let tail = std::mem::replace(&mut fifo.tail, at);
+        if tail == NIL {
+            fifo.head = at;
+        } else {
+            self.set_next(tail, at);
+        }
+        self.queued += 1;
         Ok(())
     }
 
-    /// The next operation the scheduler would pick (reads before writes).
-    fn head(&self) -> Option<&VaultOp> {
-        self.reads.front().or_else(|| self.writes.front())
+    /// The slot of the next operation the scheduler would pick (reads
+    /// before writes).
+    fn head(&self) -> Option<u16> {
+        let head = if self.reads.head != NIL { self.reads.head } else { self.writes.head };
+        (head != NIL).then_some(head)
     }
 
     /// Earliest time the head operation's activate could issue, given bank,
     /// tRRD and arrival constraints. `None` when the queue is empty.
     pub fn next_issue_time(&self, now: SimTime) -> Option<SimTime> {
-        self.head()
-            .map(|op| self.bank_ready[op.bank].max(self.next_act_allowed).max(op.arrival).max(now))
+        self.head().map(|at| {
+            let op = self.slot(at);
+            self.bank_ready(op.bank).max(self.next_act_allowed).max(op.arrival).max(now)
+        })
     }
 
     /// Issues every operation whose activate can start at or before `now`,
@@ -197,17 +299,23 @@ impl Vault {
     /// operation to `issued` (completion times ascending) instead of
     /// returning a new vector.
     pub fn advance_into(&mut self, now: SimTime, issued: &mut Vec<IssuedOp>) {
-        while let Some(op) = self.head().copied() {
-            let act_start = self.bank_ready[op.bank].max(self.next_act_allowed).max(op.arrival);
+        while let Some(at) = self.head() {
+            let Queued { id, arrival, next, bank, is_read } = self.slot(at);
+            let act_start = self.bank_ready(bank).max(self.next_act_allowed).max(arrival);
             if act_start > now {
                 break;
             }
-            // Dequeue from the appropriate priority class.
-            if op.is_read {
-                self.reads.pop_front();
-            } else {
-                self.writes.pop_front();
+            // Dequeue from its priority class and free the slot.
+            let fifo = if is_read { &mut self.reads } else { &mut self.writes };
+            fifo.head = next;
+            if next == NIL {
+                fifo.tail = NIL;
             }
+            // A free slot keeps only its link.
+            let link = self.slot_words(at) + 4;
+            self.block[link] = u32::from(self.free);
+            self.free = at;
+            self.queued -= 1;
 
             // Close-page sequence: ACT, column access, burst, auto-precharge.
             let column_ready = act_start + self.trcd + self.tcl;
@@ -218,21 +326,68 @@ impl Vault {
 
             // Precharge may begin only after tRAS and (for writes) the write
             // recovery window following the last data.
-            let precharge_start = if op.is_read {
+            let precharge_start = if is_read {
                 (act_start + self.tras).max(burst_end)
             } else {
                 (act_start + self.tras).max(burst_end + self.twr)
             };
-            self.bank_ready[op.bank] = precharge_start + self.trp;
+            self.set_bank_ready(bank, precharge_start + self.trp);
 
-            if op.is_read {
+            if is_read {
                 self.reads_issued += 1;
-                self.read_latency_total += burst_end - op.arrival;
+                self.read_latency_total += burst_end - arrival;
             } else {
                 self.writes_issued += 1;
             }
+            let op = VaultOp { id, bank, is_read, arrival };
             issued.push(IssuedOp { op, act_start, completion: burst_end });
         }
+    }
+
+    fn bank_ready(&self, bank: usize) -> SimTime {
+        let w = &self.block[2 * bank..2 * bank + 2];
+        SimTime::from_ps(join(w[0], w[1]))
+    }
+
+    fn set_bank_ready(&mut self, bank: usize, at: SimTime) {
+        self.block[2 * bank..2 * bank + 2].copy_from_slice(&split(at.as_ps()));
+    }
+
+    /// Where slot `slot`'s words start in `block`.
+    fn slot_words(&self, slot: u16) -> usize {
+        2 * self.banks + SLOT_WORDS * usize::from(slot)
+    }
+
+    fn slot(&self, slot: u16) -> Queued {
+        let at = self.slot_words(slot);
+        let w = &self.block[at..at + SLOT_WORDS];
+        Queued {
+            id: join(w[0], w[1]),
+            arrival: SimTime::from_ps(join(w[2], w[3])),
+            next: w[4] as u16,
+            bank: ((w[4] & !READ_BIT) >> BANK_SHIFT) as usize,
+            is_read: w[4] & READ_BIT != 0,
+        }
+    }
+
+    fn set_slot(&mut self, slot: u16, op: Queued) {
+        let at = self.slot_words(slot);
+        let [id_lo, id_hi] = split(op.id);
+        let [arrival_lo, arrival_hi] = split(op.arrival.as_ps());
+        let read = if op.is_read { READ_BIT } else { 0 };
+        let link = u32::from(op.next) | ((op.bank as u32) << BANK_SHIFT) | read;
+        self.block[at..at + SLOT_WORDS]
+            .copy_from_slice(&[id_lo, id_hi, arrival_lo, arrival_hi, link]);
+    }
+
+    /// The next slot on `slot`'s list.
+    fn next(&self, slot: u16) -> u16 {
+        self.block[self.slot_words(slot) + 4] as u16
+    }
+
+    fn set_next(&mut self, slot: u16, next: u16) {
+        let at = self.slot_words(slot) + 4;
+        self.block[at] = (self.block[at] & !u32::from(NIL)) | u32::from(next);
     }
 
     /// Reads issued so far.

@@ -1,6 +1,8 @@
 //! Property tests: the vault never violates DRAM timing constraints,
 //! regardless of the traffic thrown at it.
 
+use std::collections::VecDeque;
+
 use memnet_dram::{DramParams, IssuedOp, Vault, VaultOp};
 use memnet_simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -116,6 +118,39 @@ proptest! {
         let issued = run_vault(&p, ops);
         for w in issued.windows(2) {
             prop_assert!(w[1].completion > w[0].completion);
+        }
+    }
+
+    #[test]
+    fn ops_issue_reads_first_then_in_arrival_order(
+        steps in prop::collection::vec((any::<bool>(), 0..8usize, 0..4u64), 1..200)
+    ) {
+        // Enqueues interleaved with time steps, against two plain FIFOs:
+        // each issued op is the reference's oldest read, else its oldest
+        // write, and a full buffer refuses exactly when it holds
+        // `vault_buffer_entries` ops.
+        let p = DramParams::hmc_gen2();
+        let mut vault = Vault::new(&p, SimTime::ZERO);
+        let (mut reads, mut writes) = (VecDeque::new(), VecDeque::new());
+        let mut issued = Vec::new();
+        let mut now = SimTime::ZERO;
+        for (id, (is_read, bank, wait)) in steps.into_iter().enumerate() {
+            let op = if is_read {
+                VaultOp::read(id as u64, bank, now)
+            } else {
+                VaultOp::write(id as u64, bank, now)
+            };
+            match vault.enqueue(op) {
+                Ok(()) if is_read => reads.push_back(op),
+                Ok(()) => writes.push_back(op),
+                Err(_) => prop_assert_eq!(reads.len() + writes.len(), p.vault_buffer_entries),
+            }
+            prop_assert_eq!(vault.occupancy(), reads.len() + writes.len());
+            now += SimDuration::from_ns(wait * 10);
+            vault.advance_into(now, &mut issued);
+            for done in issued.drain(..) {
+                prop_assert_eq!(Some(done.op), reads.pop_front().or_else(|| writes.pop_front()));
+            }
         }
     }
 

@@ -19,14 +19,34 @@ pub use serde_derive::{Deserialize, Serialize};
 
 pub mod ser {
     //! JSON-writing serializer.
+    //!
+    //! Nothing here allocates per value; only the output text grows.
+    //! Integers are spelled through a two-digit table straight into it,
+    //! floats through [`core::fmt::Write`] in their `Display` spelling,
+    //! strings with nothing to escape are copied whole, and derived types
+    //! hand over their keys and unit-variant tags already quoted.
 
-    /// A JSON text writer with comma/nesting bookkeeping.
+    use core::fmt::{self, Write as _};
+
+    /// `"00"` through `"99"`: two decimal digits per lookup.
+    const DIGIT_PAIRS: &[u8; 200] = b"\
+        0001020304050607080910111213141516171819\
+        2021222324252627282930313233343536373839\
+        4041424344454647484950515253545556575859\
+        6061626364656667686970717273747576777879\
+        8081828384858687888990919293949596979899";
+
+    /// 10^19, the largest power of ten below `u64::MAX`.
+    const TEN_POW_19: u128 = 10_000_000_000_000_000_000;
+
+    /// A JSON text writer with comma bookkeeping.
     #[derive(Debug, Default)]
     pub struct Serializer {
         out: String,
-        // Top of stack: whether the current container already has an entry
-        // (so the next one needs a comma).
-        has_entry: Vec<bool>,
+        // Whether the next key or element needs a comma before it. Every
+        // finished value sets it and opening a container clears it, so
+        // one flag serves all nesting levels.
+        comma: bool,
     }
 
     impl Serializer {
@@ -35,49 +55,60 @@ pub mod ser {
             Serializer::default()
         }
 
+        /// A serializer that appends to `out`'s text.
+        pub(crate) fn appending(out: String) -> Self {
+            Serializer { out, comma: false }
+        }
+
         /// Consumes the serializer, returning the JSON text.
         pub fn into_string(self) -> String {
             self.out
         }
 
         fn sep(&mut self) {
-            if let Some(top) = self.has_entry.last_mut() {
-                if *top {
-                    self.out.push(',');
-                }
-                *top = true;
+            if self.comma {
+                self.out.push(',');
             }
         }
 
         /// Starts a JSON object.
         pub fn begin_object(&mut self) {
             self.out.push('{');
-            self.has_entry.push(false);
+            self.comma = false;
         }
 
         /// Ends a JSON object.
         pub fn end_object(&mut self) {
-            self.has_entry.pop();
             self.out.push('}');
+            self.comma = true;
         }
 
-        /// Writes an object key (with separating comma as needed).
+        /// Writes an object key, quoted and escaped (with separating comma
+        /// as needed).
         pub fn key(&mut self, name: &str) {
             self.sep();
-            self.write_quoted(name);
+            self.push_quoted(name);
             self.out.push(':');
+        }
+
+        /// Writes an object key given as JSON text, quotes and colon
+        /// included, and led by a comma unless it is the object's first
+        /// (`"\"a\":"`, then `",\"b\":"`). Derived structs know their
+        /// field order, so they pass each field's key this way.
+        pub fn quoted_key(&mut self, key: &str) {
+            self.out.push_str(key);
         }
 
         /// Starts a JSON array.
         pub fn begin_array(&mut self) {
             self.out.push('[');
-            self.has_entry.push(false);
+            self.comma = false;
         }
 
         /// Ends a JSON array.
         pub fn end_array(&mut self) {
-            self.has_entry.pop();
             self.out.push(']');
+            self.comma = true;
         }
 
         /// Marks the start of an array element (writes the comma).
@@ -88,26 +119,124 @@ pub mod ser {
         /// Writes a raw (pre-validated) JSON token, e.g. a number.
         pub fn write_raw(&mut self, token: &str) {
             self.out.push_str(token);
+            self.comma = true;
         }
 
         /// Writes a quoted, escaped JSON string.
         pub fn write_quoted(&mut self, s: &str) {
-            self.out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => self.out.push_str("\\\""),
-                    '\\' => self.out.push_str("\\\\"),
-                    '\n' => self.out.push_str("\\n"),
-                    '\r' => self.out.push_str("\\r"),
-                    '\t' => self.out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        self.out.push_str(&format!("\\u{:04x}", c as u32));
-                    }
-                    c => self.out.push(c),
-                }
+            self.push_quoted(s);
+            self.comma = true;
+        }
+
+        /// Writes an unsigned integer.
+        pub fn write_u64(&mut self, n: u64) {
+            if n < 10 {
+                // Zero and the other one-digit counts fill most reports.
+                self.out.push(char::from(b'0' + n as u8));
+                self.comma = true;
+                return;
             }
+            let mut buf = [0u8; 20];
+            let at = spell(n, &mut buf, 20, 1);
+            self.push_digits(&buf[at..]);
+        }
+
+        /// Writes a signed integer.
+        pub fn write_i64(&mut self, n: i64) {
+            if n < 0 {
+                self.out.push('-');
+            }
+            self.write_u64(n.unsigned_abs());
+        }
+
+        /// Writes a 128-bit unsigned integer.
+        pub fn write_u128(&mut self, mut n: u128) {
+            // Whole 19-digit chunks from the right while `n` outgrows a
+            // u64, then the leading digits.
+            let mut buf = [0u8; 39];
+            let mut end = buf.len();
+            while n > u128::from(u64::MAX) {
+                end = spell((n % TEN_POW_19) as u64, &mut buf, end, 19);
+                n /= TEN_POW_19;
+            }
+            let at = spell(n as u64, &mut buf, end, 1);
+            self.push_digits(&buf[at..]);
+        }
+
+        /// Writes a 128-bit signed integer.
+        pub fn write_i128(&mut self, n: i128) {
+            if n < 0 {
+                self.out.push('-');
+            }
+            self.write_u128(n.unsigned_abs());
+        }
+
+        /// Writes a finite float in its `Display` spelling, the shortest
+        /// decimal that reads back to the same bits.
+        pub fn write_float(&mut self, x: impl fmt::Display) {
+            // Writing into a `String` cannot fail.
+            let _ = write!(self.out, "{x}");
+            self.comma = true;
+        }
+
+        fn push_digits(&mut self, digits: &[u8]) {
+            self.out.push_str(core::str::from_utf8(digits).expect("decimal digits are ASCII"));
+            self.comma = true;
+        }
+
+        fn push_quoted(&mut self, s: &str) {
+            self.out.push('"');
+            // Copy the text between escapes whole. Every escaped byte is
+            // ASCII, so the runs are whole characters.
+            let mut run = 0;
+            for (i, &b) in s.as_bytes().iter().enumerate() {
+                let escape = match b {
+                    b'"' => "\\\"",
+                    b'\\' => "\\\\",
+                    b'\n' => "\\n",
+                    b'\r' => "\\r",
+                    b'\t' => "\\t",
+                    0..=0x1f => "\\u00",
+                    _ => continue,
+                };
+                self.out.push_str(&s[run..i]);
+                self.out.push_str(escape);
+                if escape == "\\u00" {
+                    // The other control characters: two hex digits follow.
+                    let hex = b"0123456789abcdef";
+                    self.out.push(char::from(hex[usize::from(b >> 4)]));
+                    self.out.push(char::from(hex[usize::from(b & 0xf)]));
+                }
+                run = i + 1;
+            }
+            self.out.push_str(&s[run..]);
             self.out.push('"');
         }
+    }
+
+    /// Spells `n` in decimal into `buf`, ending at `end` and zero-padded
+    /// to at least `width` digits, and returns where the digits start.
+    fn spell(mut n: u64, buf: &mut [u8], end: usize, width: usize) -> usize {
+        let mut at = end;
+        while n >= 100 {
+            let pair = (n % 100) as usize * 2;
+            n /= 100;
+            at -= 2;
+            buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        }
+        if n >= 10 {
+            let pair = n as usize * 2;
+            at -= 2;
+            buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        } else {
+            at -= 1;
+            buf[at] = b'0' + n as u8;
+        }
+        while end - at < width {
+            at -= 1;
+            buf[at] = b'0';
+        }
+        at
     }
 }
 
@@ -250,9 +379,17 @@ pub mod json {
 
     /// Serializes a value to JSON text.
     pub fn to_string<T: crate::Serialize + ?Sized>(value: &T) -> String {
-        let mut s = crate::ser::Serializer::new();
+        let mut out = String::new();
+        append(&mut out, value);
+        out
+    }
+
+    /// Appends a value's JSON text to `out`, the same bytes
+    /// [`to_string`] returns, without a `String` of its own.
+    pub fn append<T: crate::Serialize + ?Sized>(out: &mut String, value: &T) {
+        let mut s = crate::ser::Serializer::appending(std::mem::take(out));
         value.serialize(&mut s);
-        s.into_string()
+        *out = s.into_string();
     }
 
     /// Parses JSON text into a `T`.
@@ -465,10 +602,10 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 }
 
 macro_rules! int_impls {
-    ($($t:ty),*) => {$(
+    ($($write:ident($wide:ty): $($t:ty),*;)*) => {$($(
         impl Serialize for $t {
             fn serialize(&self, s: &mut ser::Serializer) {
-                s.write_raw(&self.to_string());
+                s.$write(*self as $wide);
             }
         }
         impl Deserialize for $t {
@@ -476,19 +613,22 @@ macro_rules! int_impls {
                 v.num::<$t>()
             }
         }
-    )*};
+    )*)*};
 }
 
-int_impls!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize);
+int_impls! {
+    write_u64(u64): u8, u16, u32, u64, usize;
+    write_i64(i64): i8, i16, i32, i64, isize;
+    write_u128(u128): u128;
+    write_i128(i128): i128;
+}
 
 macro_rules! float_impls {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize(&self, s: &mut ser::Serializer) {
                 if self.is_finite() {
-                    // Rust's Display prints the shortest decimal that
-                    // round-trips to the same bits.
-                    s.write_raw(&self.to_string())
+                    s.write_float(*self)
                 } else if self.is_nan() {
                     s.write_quoted("NaN")
                 } else if *self > 0.0 {

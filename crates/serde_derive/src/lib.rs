@@ -162,13 +162,22 @@ fn generate(name: &str, shape: &Shape, mode: Mode) -> String {
     }
 }
 
+/// A string literal holding `text` as a JSON string, quotes included
+/// (identifiers need no escaping), between `prefix` and `suffix`.
+fn quoted(prefix: &str, text: &str, suffix: &str) -> String {
+    format!("{:?}", format!("{prefix}\"{text}\"{suffix}"))
+}
+
 fn gen_serialize(name: &str, shape: &Shape) -> String {
     let body = match shape {
         Shape::NamedStruct(fields) => {
             let mut b = String::from("s.begin_object();\n");
-            for f in fields {
+            for (i, f) in fields.iter().enumerate() {
+                // Every field but the first follows a value: its key
+                // carries the comma.
                 b.push_str(&format!(
-                    "s.key({f:?}); ::serde::Serialize::serialize(&self.{f}, s);\n"
+                    "s.quoted_key({}); ::serde::Serialize::serialize(&self.{f}, s);\n",
+                    quoted(if i == 0 { "" } else { "," }, f, ":")
                 ));
             }
             b.push_str("s.end_object();");
@@ -189,10 +198,12 @@ fn gen_serialize(name: &str, shape: &Shape) -> String {
             let mut arms = String::new();
             for (v, arity) in variants {
                 match arity {
-                    0 => arms.push_str(&format!("{name}::{v} => s.write_quoted({v:?}),\n")),
+                    0 => arms
+                        .push_str(&format!("{name}::{v} => s.write_raw({}),\n", quoted("", v, ""))),
                     1 => arms.push_str(&format!(
-                        "{name}::{v}(a0) => {{ s.begin_object(); s.key({v:?}); \
-                         ::serde::Serialize::serialize(a0, s); s.end_object(); }}\n"
+                        "{name}::{v}(a0) => {{ s.begin_object(); s.quoted_key({}); \
+                         ::serde::Serialize::serialize(a0, s); s.end_object(); }}\n",
+                        quoted("", v, ":")
                     )),
                     n => {
                         let binds: Vec<String> = (0..*n).map(|k| format!("a{k}")).collect();
@@ -204,9 +215,10 @@ fn gen_serialize(name: &str, shape: &Shape) -> String {
                         }
                         inner.push_str("s.end_array();");
                         arms.push_str(&format!(
-                            "{name}::{v}({}) => {{ s.begin_object(); s.key({v:?}); \
+                            "{name}::{v}({}) => {{ s.begin_object(); s.quoted_key({}); \
                              {inner} s.end_object(); }}\n",
-                            binds.join(", ")
+                            binds.join(", "),
+                            quoted("", v, ":")
                         ));
                     }
                 }

@@ -800,6 +800,13 @@ mod tests {
         assert_eq!(err.path, "run.alpha_pct");
         assert_eq!(err.line, Some(6));
         assert!(err.msg.contains("0.54"), "{}", err.msg);
+        // An α outside (0%, 100%) is refused in the percent it was given.
+        let text = "{\n  \"schema\": \"memnet-manifest\",\n  \"v\": 1,\n  \"run\": {\n    \
+                    \"alpha_pct\": 150\n  }\n}";
+        let err = manifest(text).unwrap_err();
+        assert_eq!(err.path, "run.alpha_pct");
+        assert_eq!(err.line, Some(5));
+        assert!(err.msg.contains("got 150%"), "{}", err.msg);
         for (pct, tenths) in [(2.5, 25), (5.0, 50), (30.0, 300)] {
             let job = manifest(&format!(
                 "{{\"schema\":\"memnet-manifest\",\"v\":1,\"run\":{{\"alpha_pct\":{pct}}}}}"

@@ -294,6 +294,24 @@ fn run_manifest_rejections_carry_field_path_and_line() {
     assert_eq!(out.status.code(), Some(4), "rejected manifests exit 4");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("run.alpha_pct (line 6)"), "names the field and its line: {err}");
+
+    // An α outside (0%, 100%) is refused in percent, the unit both the
+    // manifest and the flag take.
+    std::fs::write(
+        &manifest,
+        "{\n  \"schema\": \"memnet-manifest\",\n  \"v\": 1,\n  \"run\": {\n    \
+         \"workload\": \"mixD\",\n    \"alpha_pct\": 150\n  }\n}\n",
+    )
+    .unwrap();
+    let out = memnet(&["run-manifest", manifest.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(4), "rejected manifests exit 4");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("run.alpha_pct (line 6)"), "names the field and its line: {err}");
+    assert!(err.contains("got 150%"), "in percent: {err}");
+    let out = memnet(&["--workload", "mixD", "--alpha", "100"]);
+    assert!(!out.status.success(), "--alpha 100 must fail");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("got 100%"), "in percent: {err}");
     let _ = std::fs::remove_file(&manifest);
 }
 

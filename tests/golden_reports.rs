@@ -16,7 +16,9 @@ use memnet_bench::{figures, Matrix, Settings};
 use memnet_core::{AddressMapping, NetworkScale, PolicyKind, SimConfig};
 use memnet_faults::FaultConfig;
 use memnet_net::TopologyKind;
+use memnet_obs::ObsConfig;
 use memnet_policy::Mechanism;
+use memnet_power::EnergyBackendKind;
 use memnet_simcore::{AuditReport, SimDuration};
 
 fn golden_dir() -> PathBuf {
@@ -124,7 +126,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Pins the engine's event delivery order on configurations that cover
 /// the event queue's delay mix: same-instant steps, link and router
 /// steps, DRAM reads, every ROO turn-off check up to 2.048 µs, fault
-/// retries, mode changes and epoch ends. Each line holds the exact event
+/// retries, mode changes and epoch ends, and on report shapes beyond the
+/// analytical obs-off default: per-epoch obs samples with their link
+/// samples, IDD pricing and a route-around after a hard link failure.
+/// Each line holds the exact event
 /// count, completed reads and a digest of the whole report (its `audit`
 /// section cleared, since the audit level follows the environment), so
 /// any change in which event runs when shows up here even where the
@@ -170,11 +175,40 @@ fn delivery_order_matches_golden() {
                 .mapping(AddressMapping::PageInterleaved)
                 .eval_period(SimDuration::from_us(30)),
         ),
+        (
+            "aware-vwl-obs-epoch-samples",
+            base("mixC", TopologyKind::TernaryTree, PolicyKind::NetworkAware, Mechanism::Vwl)
+                .obs(ObsConfig { enabled: true, ..ObsConfig::off() })
+                .epoch(SimDuration::from_us(10))
+                .eval_period(SimDuration::from_us(35)),
+        ),
+        (
+            "aware-vwl+roo-idd-priced",
+            base("mixA", TopologyKind::Star, PolicyKind::NetworkAware, Mechanism::VwlRoo)
+                .energy_backend(EnergyBackendKind::Idd)
+                .eval_period(SimDuration::from_us(30)),
+        ),
+        (
+            "unaware-vwl-hard-failure",
+            base("mixB", TopologyKind::TernaryTree, PolicyKind::NetworkUnaware, Mechanism::Vwl)
+                .faults(FaultConfig::parse("fail=2").expect("valid fault spec"))
+                .eval_period(SimDuration::from_us(30)),
+        ),
     ];
     let mut text = String::new();
     for (name, builder) in configs {
         let mut report = builder.build().expect("golden configurations are valid").run();
         report.audit = AuditReport::default();
+        // The extra shapes must really be in the report they digest.
+        match name {
+            "aware-vwl-obs-epoch-samples" => {
+                assert!(report.obs.as_ref().is_some_and(
+                    |o| o.epochs.len() > 1 && o.epochs.iter().all(|e| !e.links.is_empty())
+                ))
+            }
+            "unaware-vwl-hard-failure" => assert!(report.faults.rerouted_modules > 0),
+            _ => {}
+        }
         let digest = fnv1a(serde::json::to_string(&report).as_bytes());
         text.push_str(&format!(
             "{name} events={} reads={} report_fnv1a={digest:016x}\n",
