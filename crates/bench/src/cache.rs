@@ -2,11 +2,10 @@
 //!
 //! `memnet figures` and `memnet sweep` simulate through
 //! [`crate::Matrix`], which consults this cache before sweeping; the
-//! `memnet serve` daemon stores and serves its jobs through it too. The
-//! closed-form `tables`/`fig04` figures and `ablations` (which calls
-//! `run_pair` directly) never touch it. Cached results live as
-//! JSON-lines files (`*.jsonl`) in the cache directory; each line is one
-//! entry:
+//! `memnet serve` daemon stores and serves its jobs through it too. Only
+//! the closed-form `tables`/`fig04` figures never touch it. Cached
+//! results live as JSON-lines files (`*.jsonl`) in the cache directory;
+//! each line is one entry:
 //!
 //! ```json
 //! {"v":11,"fp":"v11|eval_ps=...|seed=...|wl=mixD|...","report":{...}}
@@ -155,7 +154,7 @@ pub fn fingerprint(cfg: &SimConfig) -> String {
 }
 
 /// What [`SimConfig::builder`] builds when nothing is set.
-fn builder_defaults() -> &'static SimConfig {
+pub(crate) fn builder_defaults() -> &'static SimConfig {
     static DEFAULTS: std::sync::OnceLock<SimConfig> = std::sync::OnceLock::new();
     DEFAULTS.get_or_init(|| SimConfig::builder().build().expect("the builder defaults are valid"))
 }

@@ -9,6 +9,7 @@ use memnet_dram::DramParams;
 use memnet_net::mech::BwMode;
 use memnet_net::TopologyKind;
 use memnet_policy::Mechanism;
+use memnet_simcore::SimDuration;
 use memnet_workload::{catalog, AddressCdf};
 
 use crate::matrix::{Key, Matrix};
@@ -79,9 +80,9 @@ pub struct Figure {
 }
 
 /// Every table, figure and section of the suite, in canonical order:
-/// the paper's evaluation, then the fault sweep, the stress suite and
-/// the model differential.
-pub static FIGURES: [Figure; 17] = [
+/// the paper's evaluation, then the fault sweep, the stress suite, the
+/// model differential and the design-choice ablations.
+pub static FIGURES: [Figure; 18] = [
     Figure { name: "tables", title: "Tables I-III", keys: None, render: |_, _| tables() },
     Figure { name: "fig04", title: "Figure 4", keys: None, render: |_, _| fig04() },
     Figure { name: "fig05", title: "Figure 5", keys: Some(fp_keys), render: fig05 },
@@ -109,6 +110,7 @@ pub static FIGURES: [Figure; 17] = [
         keys: Some(model_diff_keys),
         render: model_diff,
     },
+    Figure { name: "ablations", title: "Ablations", keys: Some(ablation_keys), render: ablations },
 ];
 
 /// The registry entry named `name`.
@@ -1111,6 +1113,90 @@ pub fn model_diff(matrix: &mut Matrix, settings: &Settings) -> String {
         let rows = report_text::model_diff_energy_rows(ra, rb);
         let (table, _) = report_text::model_diff_table("analytical", "idd", &rows, THRESHOLD);
         out.push_str(&table);
+    }
+    out
+}
+
+// ----------------------------------------------------------------------
+// Ablations — the design choices the paper calls out
+// ----------------------------------------------------------------------
+
+/// The ISP iteration caps the ISP ablation sweeps (the paper caps at 3).
+pub const ISP_CAPS: [usize; 4] = [1, 2, 3, 5];
+
+/// The epoch lengths the epoch ablation sweeps, in µs (the paper uses
+/// 100).
+const EPOCHS_US: [u64; 4] = [25, 50, 100, 200];
+
+/// The configuration every ablation row varies: aware VWL+ROO on cg.D,
+/// big star network, α = 5 %.
+fn ablation_base() -> Key {
+    Key::main(
+        "cg.D",
+        TopologyKind::Star,
+        NetworkScale::Big,
+        PolicyKind::NetworkAware,
+        Mechanism::VwlRoo,
+        0.05,
+    )
+}
+
+/// The ablation's sections: each header with its labelled rows.
+fn ablation_sections() -> [(&'static str, Vec<(String, Key)>); 4] {
+    let base = ablation_base();
+    let isp = ISP_CAPS
+        .map(|n| (format!("isp_iterations={n}"), Key { isp_iterations: n, ..base.clone() }));
+    let epoch = EPOCHS_US.map(|us| {
+        (format!("epoch={us}us"), Key { epoch: SimDuration::from_us(us), ..base.clone() })
+    });
+    let chaining = [true, false].map(|on| {
+        let key = Key { mechanism: Mechanism::Roo, wake_chaining: on, ..base.clone() };
+        (format!("wake_chaining={on}"), key)
+    });
+    let rescue = [true, false]
+        .map(|on| (format!("rescue_pool={on}"), Key { rescue_pool: on, ..base.clone() }));
+    [
+        ("== ablation: ISP iteration cap (paper: 3) ==", isp.into()),
+        ("== ablation: epoch length (paper: 100 us) ==", epoch.into()),
+        ("== ablation: response-link wakeup chaining (SVI-B) ==", chaining.into()),
+        ("== ablation: leftover-AMS rescue pool (SVI-A3) ==", rescue.into()),
+    ]
+}
+
+/// The key set of the ablations: the one full-power baseline every row
+/// is compared with, then each section's rows.
+fn ablation_keys() -> Vec<Key> {
+    let mut keys = vec![ablation_base().baseline()];
+    for (_, rows) in ablation_sections() {
+        keys.extend(rows.into_iter().map(|(_, key)| key));
+    }
+    keys
+}
+
+/// Ablations of the design choices the paper calls out: the ISP
+/// iteration cap, the epoch length, §VI-B response-link wakeup chaining
+/// and the §VI-A3 leftover-AMS rescue pool, each row's power and
+/// performance against the full-power baseline.
+pub fn ablations(matrix: &mut Matrix, settings: &Settings) -> String {
+    ensure(matrix, "ablations", settings);
+    let baseline = matrix.get(&ablation_base().baseline());
+    let mut out = String::new();
+    for (i, (header, rows)) in ablation_sections().into_iter().enumerate() {
+        if i > 0 {
+            out.push('\n');
+        }
+        out.push_str(header);
+        out.push('\n');
+        for (label, key) in rows {
+            let r = matrix.get(&key);
+            out.push_str(&format!(
+                "{label:<28} power {:6.2} W  saved {:5.1}%  degradation {:5.2}%  violations {:4}\n",
+                r.power.watts(),
+                100.0 * r.power_reduction_vs(baseline),
+                100.0 * r.degradation_vs(baseline),
+                r.violations,
+            ));
+        }
     }
     out
 }

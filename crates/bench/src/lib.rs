@@ -3,15 +3,18 @@
 //! The experiment harness: regenerates every table and figure of the
 //! paper's evaluation.
 //!
-//! [`figures::FIGURES`] lists every table and figure. `memnet figures
-//! [NAME...]` renders the named ones (all of them by default) through
-//! one shared [`Matrix`] of simulation results, so common configurations
-//! (e.g. the full-power baselines) are simulated once. The `ablations`
-//! binary runs the design-choice ablations outside the matrix.
+//! [`figures::FIGURES`] lists every table, figure and design-choice
+//! ablation. `memnet figures [NAME...]` renders the named ones (all of
+//! them by default) through one shared [`Matrix`] of simulation results,
+//! so common configurations (e.g. the full-power baselines) are
+//! simulated once.
 //!
-//! Simulated evaluation time defaults to 1 ms per run (the paper uses
-//! 10 ms); set `MEMNET_EVAL_US` to lengthen or shorten it, and
-//! `MEMNET_THREADS` to bound the sweep parallelism.
+//! The crate reads no environment variable: every run is described by
+//! a [`Settings`] value and the figure keys. The `memnet` binary fills
+//! `Settings` from the environment. Simulated evaluation time defaults
+//! to 1 ms per run (the paper uses 10 ms); set `MEMNET_EVAL_US` to
+//! lengthen or shorten it, and `MEMNET_THREADS` to bound the sweep
+//! parallelism.
 //!
 //! Results are cached persistently between invocations (see
 //! [`mod@cache`]): re-rendering with a warm cache performs zero

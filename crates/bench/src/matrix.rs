@@ -14,7 +14,7 @@ use memnet_policy::Mechanism;
 use memnet_power::EnergyBackendKind;
 use memnet_simcore::SimDuration;
 
-use crate::cache::{fingerprint, DiskCache, Location};
+use crate::cache::{builder_defaults, fingerprint, DiskCache, Location};
 use crate::settings::Settings;
 
 /// A figure coordinate: one point of the paper's configuration space, by
@@ -47,10 +47,19 @@ pub struct Key {
     /// the same configuration side by side — the model differential
     /// figure depends on that.
     pub energy: EnergyBackendKind,
+    /// Management epoch length.
+    pub epoch: SimDuration,
+    /// ISP iteration cap.
+    pub isp_iterations: usize,
+    /// §VI-B response-link wakeup chaining.
+    pub wake_chaining: bool,
+    /// §VI-A3 leftover-AMS rescue pool.
+    pub rescue_pool: bool,
 }
 
 impl Key {
-    /// A key for the main-study configuration space.
+    /// A key for the main-study configuration space, with the builder's
+    /// epoch length, ISP cap, wake chaining and rescue pool.
     pub fn main(
         workload: &'static str,
         topology: TopologyKind,
@@ -59,6 +68,7 @@ impl Key {
         mechanism: Mechanism,
         alpha: f64,
     ) -> Key {
+        let d = builder_defaults();
         Key {
             workload,
             topology,
@@ -70,6 +80,10 @@ impl Key {
             mapping: AddressMapping::Contiguous,
             faults: String::new(),
             energy: EnergyBackendKind::Analytical,
+            epoch: d.epoch,
+            isp_iterations: d.isp_iterations,
+            wake_chaining: d.wake_chaining,
+            rescue_pool: d.rescue_pool,
         }
     }
 
@@ -86,16 +100,25 @@ impl Key {
         Key { faults: spec.to_string(), ..self.clone() }
     }
 
-    /// The full-power baseline key matching this configuration. α and the
-    /// ROO wakeup latency are normalized (full-power links have neither),
-    /// so every managed variant shares one baseline run.
+    /// The full-power baseline key matching this configuration: the
+    /// main-study full-power key of its workload, topology and scale,
+    /// under its mapping, faults and energy backend. α, the ROO wakeup
+    /// latency and the ablation knobs are normalized (full-power links
+    /// have no management to tune), so every managed variant shares one
+    /// baseline run.
     pub fn baseline(&self) -> Key {
         Key {
-            policy: PolicyKind::FullPower,
-            mechanism: Mechanism::FullPower,
-            alpha_tenths_pct: 50,
-            roo_wakeup_ns: 14,
-            ..self.clone()
+            mapping: self.mapping,
+            faults: self.faults.clone(),
+            energy: self.energy,
+            ..Key::main(
+                self.workload,
+                self.topology,
+                self.scale,
+                PolicyKind::FullPower,
+                Mechanism::FullPower,
+                0.05,
+            )
         }
     }
 
@@ -125,6 +148,10 @@ impl Key {
                 ..RooParams::fast()
             })
             .mapping(self.mapping)
+            .epoch(self.epoch)
+            .isp_iterations(self.isp_iterations)
+            .wake_chaining(self.wake_chaining)
+            .rescue_pool(self.rescue_pool)
             .faults(FaultConfig::parse(&self.faults).expect("matrix fault specs are valid"))
             .eval_period(settings.eval_period)
             .seed(seed)
@@ -642,9 +669,11 @@ mod tests {
     }
 
     /// The fingerprint as keys spelled it before configurations named
-    /// their own results: the oracle [`fingerprint`] must reproduce.
+    /// their own results, with the suffix of each ablation knob off its
+    /// default (100 µs epochs, 3 ISP iterations, chaining and the rescue
+    /// pool on): the oracle [`fingerprint`] must reproduce.
     fn reference_fingerprint(key: &Key, settings: &Settings, seed: u64) -> String {
-        format!(
+        let mut fp = format!(
             "v{}|eval_ps={}|seed={}|wl={}|topo={:?}|scale={:?}|policy={:?}|mech={:?}|alpha={}|roo={}|map={:?}|faults={}|obs={}|src=|calib=|energy={}",
             crate::CACHE_SCHEMA_VERSION,
             settings.eval_period.as_ps(),
@@ -660,7 +689,20 @@ mod tests {
             key.faults,
             settings.obs,
             key.energy.label(),
-        )
+        );
+        if key.epoch != SimDuration::from_us(100) {
+            fp += &format!("|epoch_ps={}", key.epoch.as_ps());
+        }
+        if key.isp_iterations != 3 {
+            fp += &format!("|isp_iterations={}", key.isp_iterations);
+        }
+        if !key.wake_chaining {
+            fp += "|wake_chaining=false";
+        }
+        if !key.rescue_pool {
+            fp += "|rescue_pool=false";
+        }
+        fp
     }
 
     #[test]
@@ -719,5 +761,14 @@ mod tests {
         // Baselines are normalized so every alpha shares one FP run.
         assert_eq!(b.alpha_tenths_pct, 50);
         assert_eq!(b, k.baseline().baseline());
+        // So are the ablation knobs: every ablation row shares it too.
+        let ablated = Key {
+            epoch: SimDuration::from_us(25),
+            isp_iterations: 1,
+            wake_chaining: false,
+            rescue_pool: false,
+            ..k.clone()
+        };
+        assert_eq!(ablated.baseline(), b);
     }
 }

@@ -618,6 +618,7 @@ mod tests {
         let again = SweepPlan::new(&default_figures(), &settings).unwrap();
         assert_eq!(plan.set_digest, again.set_digest);
         assert_eq!(plan.len(), again.len());
+        assert_eq!(plan.len(), 2336, "the full registry's cells at one seed");
         // Different fingerprint-bearing settings change the set digest.
         let other = Settings { seed: settings.seed + 1, ..Settings::default() };
         let moved = SweepPlan::new(&default_figures(), &other).unwrap();

@@ -460,29 +460,21 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the link-fault scenario. Note the builder deliberately does
-    /// *not* read `MEMNET_FAULTS` itself (that would silently poison cached
-    /// sweep results); the CLI applies [`FaultConfig::from_env`] at its own
-    /// layer and bench sweeps carry the spec in their cache key.
+    /// Sets the link-fault scenario; bench sweeps carry its spec in their
+    /// cache key.
     pub fn faults(mut self, faults: FaultConfig) -> Self {
         self.faults = faults;
         self
     }
 
-    /// Sets the observability configuration. Like [`Self::faults`], the
-    /// builder deliberately does *not* read `MEMNET_TRACE` itself (cached
-    /// results must be a function of explicit configuration only); the CLI
-    /// applies [`ObsConfig::from_env`] at its own layer.
+    /// Sets the observability configuration.
     pub fn obs(mut self, obs: ObsConfig) -> Self {
         self.obs = obs;
         self
     }
 
-    /// Selects the energy backend pricing this run. Like [`Self::faults`],
-    /// the builder deliberately does *not* read `MEMNET_ENERGY_BACKEND`
-    /// itself (cached results must be a function of explicit configuration
-    /// only); the CLI applies [`EnergyBackendKind::from_env`] at its own
-    /// layer and bench keys carry the backend in their fingerprint.
+    /// Selects the energy backend pricing this run; bench keys carry the
+    /// backend in their fingerprint.
     pub fn energy_backend(mut self, kind: EnergyBackendKind) -> Self {
         self.energy_backend = kind;
         self

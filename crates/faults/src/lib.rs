@@ -16,8 +16,8 @@
 //! # Spec strings
 //!
 //! Fault scenarios are described by a compact comma-separated spec, used by
-//! the `--faults` CLI flag, the `MEMNET_FAULTS` environment variable and the
-//! bench cache key:
+//! the `--faults` CLI flag, the manifest's `run.faults` field and the bench
+//! cache key:
 //!
 //! ```text
 //! ber=1e-6,burst=mild,degrade=0:8+3:4,fail=5,wake_timeout=0.01,retry_limit=8
@@ -265,31 +265,6 @@ impl FaultConfig {
         cfg.normalize();
         cfg.validate()?;
         Ok(cfg)
-    }
-
-    /// Reads `MEMNET_FAULTS`, warning (to stderr) and skipping each
-    /// malformed field instead of failing — the same warn-and-default
-    /// convention as `MEMNET_THREADS`. Unset or empty means no faults.
-    pub fn from_env() -> FaultConfig {
-        let Ok(raw) = std::env::var("MEMNET_FAULTS") else {
-            return FaultConfig::none();
-        };
-        let mut cfg = FaultConfig::none();
-        for field in raw.split(',').map(str::trim).filter(|f| !f.is_empty()) {
-            if let Err(e) = cfg.apply_field(field) {
-                memnet_simcore::memnet_warn!(
-                    "[faults] ignoring MEMNET_FAULTS field {field:?}: {e}"
-                );
-            }
-        }
-        cfg.normalize();
-        if let Err(e) = cfg.validate() {
-            memnet_simcore::memnet_warn!(
-                "[faults] MEMNET_FAULTS out of range ({e}); disabling faults"
-            );
-            return FaultConfig::none();
-        }
-        cfg
     }
 
     fn normalize(&mut self) {
@@ -550,31 +525,5 @@ mod tests {
         assert_eq!(fm.degraded_lanes(99), None, "out-of-range lookups are healthy");
         assert_eq!(fm.config().hard_failed, vec![2]);
         assert_eq!(fm.retry_limit(), DEFAULT_RETRY_LIMIT);
-    }
-
-    /// Single env test (the environment is process-global, so all
-    /// `MEMNET_FAULTS` cases live in one function).
-    #[test]
-    fn from_env_warns_and_defaults_on_malformed_fields() {
-        std::env::remove_var("MEMNET_FAULTS");
-        assert!(FaultConfig::from_env().is_none(), "unset env means no faults");
-
-        std::env::set_var("MEMNET_FAULTS", "ber=1e-4,retry_limit=4");
-        let cfg = FaultConfig::from_env();
-        assert_eq!(cfg.flit_error_rate, 1e-4);
-        assert_eq!(cfg.retry_limit, 4);
-
-        // Malformed fields are skipped individually; valid ones survive.
-        std::env::set_var("MEMNET_FAULTS", "ber=soup,wake_timeout=0.5,bogus");
-        let cfg = FaultConfig::from_env();
-        assert_eq!(cfg.flit_error_rate, 0.0, "malformed ber ignored");
-        assert_eq!(cfg.wake_timeout_rate, 0.5, "valid field kept");
-
-        // A field that parses but fails range validation disables faults
-        // entirely rather than running a half-specified scenario.
-        std::env::set_var("MEMNET_FAULTS", "ber=3.5");
-        assert!(FaultConfig::from_env().is_none());
-
-        std::env::remove_var("MEMNET_FAULTS");
     }
 }

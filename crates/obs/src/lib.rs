@@ -48,10 +48,9 @@ pub const ENERGY_CATEGORIES: [&str; 7] =
 ///
 /// The default (and [`ObsConfig::off`]) disables everything; the engine
 /// then holds no recorder and the only residual cost is one always-false
-/// branch per hook site. Like `SimConfigBuilder::faults`,
-/// nothing here reads the environment — [`ObsConfig::from_env`] exists for
-/// the CLI layer only, so cached results can never be poisoned by an env
-/// var the cache key does not see.
+/// branch per hook site. Nothing here reads the environment, so cached
+/// results can never be poisoned by an env var the cache key does not
+/// see.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ObsConfig {
     /// Collect per-epoch [`EpochSample`]s into the report's `obs` section.
@@ -90,40 +89,11 @@ impl ObsConfig {
     pub fn is_active(&self) -> bool {
         self.enabled || self.trace_path.is_some()
     }
-
-    /// Builds a config from `MEMNET_TRACE`, `MEMNET_TRACE_EVERY` and
-    /// `MEMNET_TRACE_MAX`, warning (and keeping the default) on malformed
-    /// values. Call this from the CLI layer only — never from a config
-    /// builder — so cache keys stay a function of explicit configuration.
-    pub fn from_env() -> Self {
-        let mut cfg = ObsConfig::off();
-        if let Ok(path) = std::env::var("MEMNET_TRACE") {
-            if !path.is_empty() {
-                cfg.trace_path = Some(path);
-            }
-        }
-        cfg.trace_every = env_u64("MEMNET_TRACE_EVERY", cfg.trace_every, 1);
-        cfg.trace_max = env_u64("MEMNET_TRACE_MAX", cfg.trace_max, 0);
-        cfg
-    }
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig::off()
-    }
-}
-
-fn env_u64(key: &str, default: u64, min: u64) -> u64 {
-    match std::env::var(key) {
-        Ok(raw) => match raw.parse::<u64>() {
-            Ok(v) if v >= min => v,
-            _ => {
-                memnet_warn!("[obs] {key}={raw:?} is not an integer >= {min}; using {default}");
-                default
-            }
-        },
-        Err(_) => default,
     }
 }
 

@@ -349,8 +349,8 @@ impl EnergyBackend for IddModel {
 }
 
 /// Which energy backend a run prices with. Selectable per run via
-/// `--energy-backend` / `MEMNET_ENERGY_BACKEND` and recorded in the
-/// bench cache key.
+/// `--energy-backend` (or a manifest's `run.energy_backend`) and
+/// recorded in the bench cache key.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EnergyBackendKind {
     /// The paper's analytical peak-split model ([`HmcPowerModel::paper`]).
@@ -378,23 +378,6 @@ impl EnergyBackendKind {
             "analytical" => Some(EnergyBackendKind::Analytical),
             "idd" => Some(EnergyBackendKind::Idd),
             _ => None,
-        }
-    }
-
-    /// Reads `MEMNET_ENERGY_BACKEND`, warning and defaulting to
-    /// [`EnergyBackendKind::Analytical`] on an unrecognized value. Only
-    /// the CLI layer calls this — builders never read the environment, so
-    /// cached bench results can't be poisoned by ambient configuration.
-    pub fn from_env() -> EnergyBackendKind {
-        match std::env::var("MEMNET_ENERGY_BACKEND") {
-            Err(_) => EnergyBackendKind::default(),
-            Ok(v) => EnergyBackendKind::parse(&v).unwrap_or_else(|| {
-                memnet_simcore::memnet_warn!(
-                    "[power] MEMNET_ENERGY_BACKEND={v:?} not recognized \
-                     (want analytical|idd); using analytical"
-                );
-                EnergyBackendKind::default()
-            }),
         }
     }
 

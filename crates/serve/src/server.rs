@@ -11,7 +11,7 @@
 //! The server answers with JSONL lifecycle events on the submitting
 //! connection: `rejected`, `queued` (with `coalesced`/`cached` flags),
 //! `started`, `progress`, then exactly one of `done`, `failed` or
-//! `cancelled` carrying the standardized [`ResultPayload`].
+//! `cancelled` carrying the standardized [`ResultPayload`](crate::ResultPayload).
 //!
 //! ## Scheduling and dedup
 //!
@@ -64,7 +64,7 @@ use memnet_bench::{DiskCache, EnsureStats, Location, Matrix};
 use memnet_core::{RunReport, StopReason};
 use serde::{json, Serialize};
 
-use crate::job::{self, CacheNote, ResultPayload};
+use crate::job::{self, CacheNote};
 use crate::manifest::{Assertions, Manifest, ResolvedJob, SweepSpec};
 use crate::signal;
 use crate::sweep;
@@ -129,14 +129,14 @@ struct ConnOut {
 }
 
 impl ConnOut {
-    fn send(&self, line: &str) {
+    fn send(&self, mut line: String) {
         use std::io::Write;
         // One write per event line: a trailing newline sent on its own
         // would wait for the client's delayed ACK of the line before it.
-        let buf = format!("{line}\n");
+        line.push('\n');
         let mut guard = self.stream.lock().unwrap();
         if let Some(stream) = guard.as_mut() {
-            if stream.write_all(buf.as_bytes()).is_err() {
+            if stream.write_all(line.as_bytes()).is_err() {
                 *guard = None;
             }
         }
@@ -316,8 +316,13 @@ fn event_rejected(err: &crate::ManifestError) -> String {
     )
 }
 
-fn event_result(kind: &str, job_id: u64, payload: &ResultPayload) -> String {
-    format!("{{\"event\":{},\"job\":{job_id},\"result\":{}}}", js(kind), json::to_string(payload))
+/// A job's closing event line, with its result payload encoded straight
+/// into the line.
+fn event_result(kind: &str, job_id: u64, payload: &impl Serialize) -> String {
+    let mut line = format!("{{\"event\":{},\"job\":{job_id},\"result\":", js(kind));
+    json::append(&mut line, payload);
+    line.push('}');
+    line
 }
 
 impl Server {
@@ -401,7 +406,7 @@ impl Server {
         }
         // Every result is delivered; unblock any connection still reading.
         for conn in conns.lock().unwrap().iter() {
-            conn.send("{\"event\":\"shutting-down\"}");
+            conn.send("{\"event\":\"shutting-down\"}".to_owned());
             conn.hangup();
         }
         for t in conn_threads {
@@ -423,7 +428,7 @@ fn serve_connection(state: &Arc<State>, client: u64, reader: TcpStream, out: &Ar
         let doc = match json::parse(&line) {
             Ok(doc) => doc,
             Err(e) => {
-                out.send(&format!(
+                out.send(format!(
                     "{{\"event\":\"error\",\"error\":{}}}",
                     js(&format!("bad request JSON: {}", e.0))
                 ));
@@ -435,7 +440,8 @@ fn serve_connection(state: &Arc<State>, client: u64, reader: TcpStream, out: &Ar
             "submit" => match doc.get("manifest") {
                 Ok(manifest) => submit(state, client, out, manifest),
                 Err(_) => out.send(
-                    "{\"event\":\"error\",\"error\":\"submit needs a \\\"manifest\\\" object\"}",
+                    "{\"event\":\"error\",\"error\":\"submit needs a \\\"manifest\\\" object\"}"
+                        .to_owned(),
                 ),
             },
             "cancel" => {
@@ -443,7 +449,8 @@ fn serve_connection(state: &Arc<State>, client: u64, reader: TcpStream, out: &Ar
                 match job_id {
                     Some(id) => cancel(state, out, id),
                     None => out.send(
-                        "{\"event\":\"error\",\"error\":\"cancel needs a numeric \\\"job\\\"\"}",
+                        "{\"event\":\"error\",\"error\":\"cancel needs a numeric \\\"job\\\"\"}"
+                            .to_owned(),
                     ),
                 }
             }
@@ -456,14 +463,14 @@ fn serve_connection(state: &Arc<State>, client: u64, reader: TcpStream, out: &Ar
                     json::to_string(&sched.stats)
                 );
                 drop(sched);
-                out.send(&line);
+                out.send(line);
             }
             "shutdown" => {
                 state.shutdown.store(true, Ordering::Relaxed);
                 state.cv.notify_all();
-                out.send("{\"event\":\"shutting-down\"}");
+                out.send("{\"event\":\"shutting-down\"}".to_owned());
             }
-            other => out.send(&format!(
+            other => out.send(format!(
                 "{{\"event\":\"error\",\"error\":{}}}",
                 js(&format!("unknown op {other:?} (submit|cancel|status|shutdown)"))
             )),
@@ -477,7 +484,7 @@ fn serve_connection(state: &Arc<State>, client: u64, reader: TcpStream, out: &Ar
 fn submit(state: &Arc<State>, client: u64, out: &Arc<ConnOut>, manifest: &json::Value) {
     let reject = |err: &crate::ManifestError| {
         state.sched.lock().unwrap().stats.rejected += 1;
-        out.send(&event_rejected(err));
+        out.send(event_rejected(err));
     };
     if state.shutdown.load(Ordering::Relaxed) {
         return reject(&shutting_down());
@@ -533,13 +540,13 @@ fn submit(state: &Arc<State>, client: u64, out: &Arc<ConnOut>, manifest: &json::
                     assertions: job.manifest.assertions.clone(),
                     coalesced: true,
                 });
-                out.send(&format!(
+                out.send(format!(
                     "{{\"event\":\"queued\",\"job\":{job_id},\"fingerprint\":{},\
                      \"coalesced\":true,\"cached\":false}}",
                     js(&job.fingerprint)
                 ));
                 if exec.started.load(Ordering::Relaxed) {
-                    out.send(&format!("{{\"event\":\"started\",\"job\":{job_id}}}"));
+                    out.send(format!("{{\"event\":\"started\",\"job\":{job_id}}}"));
                 }
                 return;
             }
@@ -558,7 +565,7 @@ fn submit(state: &Arc<State>, client: u64, out: &Arc<ConnOut>, manifest: &json::
                         started: AtomicBool::new(false),
                         job,
                     });
-                    out.send(&format!(
+                    out.send(format!(
                         "{{\"event\":\"queued\",\"job\":{job_id},\"fingerprint\":{},\
                          \"coalesced\":false,\"cached\":false}}",
                         js(&exec.job.fingerprint)
@@ -591,7 +598,7 @@ fn submit(state: &Arc<State>, client: u64, out: &Arc<ConnOut>, manifest: &json::
         sched.stats.cache_hits += 1;
         sched.stats.completed += 1;
     }
-    out.send(&format!(
+    out.send(format!(
         "{{\"event\":\"queued\",\"job\":{job_id},\"fingerprint\":{},\
          \"coalesced\":false,\"cached\":true}}",
         js(&job.fingerprint)
@@ -604,7 +611,7 @@ fn submit(state: &Arc<State>, client: u64, out: &Arc<ConnOut>, manifest: &json::
         CacheNote { hit: true, source: "disk".to_owned() },
     );
     let kind = if payload.exit_code == job::EXIT_PASS { "done" } else { "failed" };
-    out.send(&event_result(kind, job_id, &payload));
+    out.send(event_result(kind, job_id, &payload));
 }
 
 /// The rejection a submission gets once the server is shutting down.
@@ -625,7 +632,7 @@ fn shutting_down() -> crate::ManifestError {
 fn submit_sweep(state: &Arc<State>, client: u64, out: &Arc<ConnOut>, manifest: &Manifest) {
     let reject = |err: &crate::ManifestError| {
         state.sched.lock().unwrap().stats.rejected += 1;
-        out.send(&event_rejected(err));
+        out.send(event_rejected(err));
     };
     let mut spec = manifest.sweep.clone().expect("submit_sweep is only called for sweep manifests");
     spec.settings.cache_dir = state.cache_dir.clone();
@@ -651,9 +658,9 @@ fn submit_sweep(state: &Arc<State>, client: u64, out: &Arc<ConnOut>, manifest: &
         sched.stats.coalesced += 1;
         sched.jobs.insert(job_id, Inflight::Sweep(Arc::clone(&run)));
         run.subs.lock().unwrap().push(SweepSub { conn: Arc::clone(out), job_id });
-        out.send(&event_sweep_queued(job_id, &run, true));
+        out.send(event_sweep_queued(job_id, &run, true));
         if run.started.load(Ordering::Relaxed) {
-            out.send(&format!("{{\"event\":\"started\",\"job\":{job_id}}}"));
+            out.send(format!("{{\"event\":\"started\",\"job\":{job_id}}}"));
         }
         return;
     }
@@ -673,7 +680,7 @@ fn submit_sweep(state: &Arc<State>, client: u64, out: &Arc<ConnOut>, manifest: &
         plan,
         job_key: job_key.clone(),
     });
-    out.send(&event_sweep_queued(job_id, &run, false));
+    out.send(event_sweep_queued(job_id, &run, false));
     sched.inflight.insert(job_key, Inflight::Sweep(Arc::clone(&run)));
     sched.jobs.insert(job_id, Inflight::Sweep(Arc::clone(&run)));
     for index in 0..shards {
@@ -715,7 +722,7 @@ fn cancel(state: &Arc<State>, out: &Arc<ConnOut>, job_id: u64) {
     let mut sched = state.sched.lock().unwrap();
     let Some(entry) = sched.jobs.get(&job_id).cloned() else {
         drop(sched);
-        out.send(&format!(
+        out.send(format!(
             "{{\"event\":\"error\",\"error\":{}}}",
             js(&format!("no such job {job_id}"))
         ));
@@ -747,7 +754,7 @@ fn cancel(state: &Arc<State>, out: &Arc<ConnOut>, job_id: u64) {
         sched.inflight.remove(&exec.job.job_key);
     }
     drop(sched);
-    out.send(&format!("{{\"event\":\"cancelled\",\"job\":{job_id}}}"));
+    out.send(format!("{{\"event\":\"cancelled\",\"job\":{job_id}}}"));
 }
 
 /// One worker thread: pull work round-robin, simulate, deliver.
@@ -781,7 +788,7 @@ fn worker_loop(state: &Arc<State>) {
 fn run_job(state: &Arc<State>, exec: &Arc<JobExec>) {
     exec.started.store(true, Ordering::Relaxed);
     for sub in exec.subs.lock().unwrap().iter() {
-        sub.conn.send(&format!("{{\"event\":\"started\",\"job\":{}}}", sub.job_id));
+        sub.conn.send(format!("{{\"event\":\"started\",\"job\":{}}}", sub.job_id));
     }
 
     let progress: Option<Box<dyn FnMut(memnet_core::RunProgress) + Send>> =
@@ -789,7 +796,7 @@ fn run_job(state: &Arc<State>, exec: &Arc<JobExec>) {
             let exec = Arc::clone(exec);
             Some(Box::new(move |p: memnet_core::RunProgress| {
                 for sub in exec.subs.lock().unwrap().iter() {
-                    sub.conn.send(&format!(
+                    sub.conn.send(format!(
                         "{{\"event\":\"progress\",\"job\":{},\"events\":{},\"sim_ps\":{}}}",
                         sub.job_id,
                         p.events,
@@ -856,7 +863,7 @@ fn run_job(state: &Arc<State>, exec: &Arc<JobExec>) {
             _ if payload.exit_code == job::EXIT_PASS => "done",
             _ => "failed",
         };
-        sub.conn.send(&event_result(kind, sub.job_id, &payload));
+        sub.conn.send(event_result(kind, sub.job_id, &payload));
     }
 }
 
@@ -866,7 +873,7 @@ fn run_job(state: &Arc<State>, exec: &Arc<JobExec>) {
 fn run_sweep_shard(state: &Arc<State>, run: &Arc<SweepRun>, index: u32) {
     if !run.started.swap(true, Ordering::Relaxed) {
         for sub in run.subs.lock().unwrap().iter() {
-            sub.conn.send(&format!("{{\"event\":\"started\",\"job\":{}}}", sub.job_id));
+            sub.conn.send(format!("{{\"event\":\"started\",\"job\":{}}}", sub.job_id));
         }
     }
     // A cancelled sweep's remaining shards drain as no-ops; there is no
@@ -899,7 +906,7 @@ fn run_sweep_shard(state: &Arc<State>, run: &Arc<SweepRun>, index: u32) {
         (slots.done, slots.done == run.spec.shards)
     };
     for sub in run.subs.lock().unwrap().iter() {
-        sub.conn.send(&format!(
+        sub.conn.send(format!(
             "{{\"event\":\"progress\",\"job\":{},\"shards_done\":{done},\"shards\":{}}}",
             sub.job_id, run.spec.shards,
         ));
@@ -967,20 +974,13 @@ fn finish_sweep(state: &Arc<State>, run: &Arc<SweepRun>) {
     };
     for sub in subs {
         let line = match &outcome {
-            Ok(payload) if cancelled => format!(
-                "{{\"event\":\"cancelled\",\"job\":{},\"result\":{}}}",
-                sub.job_id,
-                json::to_string(payload)
-            ),
-            Ok(payload) => format!(
-                "{{\"event\":\"done\",\"job\":{},\"result\":{}}}",
-                sub.job_id,
-                json::to_string(payload)
-            ),
+            Ok(payload) => {
+                event_result(if cancelled { "cancelled" } else { "done" }, sub.job_id, payload)
+            }
             Err(msg) => {
                 format!("{{\"event\":\"failed\",\"job\":{},\"error\":{}}}", sub.job_id, js(msg))
             }
         };
-        sub.conn.send(&line);
+        sub.conn.send(line);
     }
 }

@@ -12,14 +12,12 @@
 //! ```
 //!
 //! `--faults` takes a scenario spec like `ber=1e-6,burst=mild,fail=3`
-//! (see `memnet::faults::FaultConfig::parse`); when omitted, the
-//! `MEMNET_FAULTS` environment variable supplies the scenario.
+//! (see `memnet::faults::FaultConfig::parse`); without it the run is
+//! fault-free.
 //!
 //! `--obs` retains per-epoch time-series samples in the report; `--trace`
 //! additionally streams schema-versioned JSONL events to a file
-//! (decimated by `--trace-every`, capped at `--trace-max`). The
-//! `MEMNET_TRACE`, `MEMNET_TRACE_EVERY` and `MEMNET_TRACE_MAX`
-//! environment variables supply defaults for the three flags.
+//! (decimated by `--trace-every`, capped at `--trace-max`).
 //! `--trace-packets` adds every packet's milestones (inject, link
 //! start/done, vault enqueue/done, retire) to the trace as `pkt` events
 //! and needs a trace file. The `memnet trace` subcommand validates a
@@ -34,8 +32,8 @@
 //! run.
 //!
 //! `--energy-backend analytical|idd` selects how the engine prices
-//! residencies and activity (default from `MEMNET_ENERGY_BACKEND`, else
-//! the analytical model); the choice never changes simulated behavior,
+//! residencies and activity (the analytical model by default); the
+//! choice never changes simulated behavior,
 //! only the energy accounting. `memnet calibrate MEASUREMENTS.csv` fits
 //! the IDD mode table to measured watts and emits a calibration JSON;
 //! `memnet diff-models` runs one configuration through both backends and
@@ -58,6 +56,13 @@
 //! `memnet figures [NAME...]` renders the paper's tables and figures
 //! (every registry figure by default) through the same matrix and result
 //! cache, so a cache that sweeps filled renders without simulating.
+//!
+//! Run flags never come from the environment. `memnet sweep` and
+//! `memnet figures` read their harness settings (`MEMNET_EVAL_US` and
+//! friends) in the `env` module, the one module of the program that
+//! reads environment variables besides the audit level.
+
+mod env;
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -69,21 +74,33 @@ use memnet::net::TopologyKind;
 use memnet::obs::{summary, ObsConfig};
 use memnet::policy::Mechanism;
 use memnet::power::{calib, EnergyBackend, EnergyBackendKind, HmcPowerModel, IddModel};
+use memnet::serve::ServerConfig;
 use memnet::workload::RequestTrace;
 use memnet_simcore::{memnet_log, memnet_warn, SimDuration};
 
 struct Args {
-    /// The run: the builder's defaults, then the `MEMNET_FAULTS`,
-    /// `MEMNET_ENERGY_BACKEND` and `MEMNET_TRACE*` environment, then the
-    /// run flags.
+    /// The run: the builder's defaults, then the run flags.
     spec: SimConfigBuilder,
     channels: usize,
     json: bool,
     compare: bool,
+    /// The one positional argument: the FILE of `record` and `replay`.
+    file: Option<String>,
 }
 
-fn usage() -> &'static str {
-    "usage: memnet [--workload NAME] [--topology daisychain|ternary|star|ddrx]\n\
+impl Args {
+    /// Refuses a positional argument, for runs that take no FILE.
+    fn without_file(self) -> Result<Args, String> {
+        match self.file {
+            Some(file) => Err(format!("unknown flag {file:?}\n{}", usage())),
+            None => Ok(self),
+        }
+    }
+}
+
+fn usage() -> String {
+    format!(
+        "usage: memnet [--workload NAME] [--topology daisychain|ternary|star|ddrx]\n\
      \x20             [--scale small|big] [--policy fp|unaware|aware|static]\n\
      \x20             [--mechanism fp|vwl|roo|vwl+roo|dvfs|dvfs+roo] [--alpha PCT]\n\
      \x20             [--eval-us N] [--seed N] [--channels K] [--faults SPEC]\n\
@@ -104,10 +121,9 @@ fn usage() -> &'static str {
      \x20      memnet merge [--check] [--out FILE] SHARD_FILE...\n\
      \x20      memnet figures [NAME...]\n\
      \x20 --faults SPEC: fault scenario, e.g. ber=1e-6,burst=mild,degrade=2:4,fail=3\n\
-     \x20                (defaults to the MEMNET_FAULTS environment variable)\n\
      \x20 --obs:         keep per-epoch time-series samples in the report\n\
-     \x20 --trace FILE:  stream JSONL events to FILE (default MEMNET_TRACE;\n\
-     \x20                decimation/cap default MEMNET_TRACE_EVERY/_MAX)\n\
+     \x20 --trace FILE:  stream JSONL events to FILE (every --trace-every'th\n\
+     \x20                event, at most --trace-max of them)\n\
      \x20 --trace-packets: add each packet's milestones (inject, link, vault,\n\
      \x20                retire) to the --trace file as `pkt` events\n\
      \x20 trace FILE:    validate a JSONL trace and print its residency table;\n\
@@ -116,8 +132,8 @@ fn usage() -> &'static str {
      \x20                --eval-us) to a schema-versioned JSONL request trace\n\
      \x20 replay FILE:   drive the engine from a recorded request trace; seed\n\
      \x20                defaults to the trace's (bit-identical rerun)\n\
-     \x20 --energy-backend: energy pricing model (default MEMNET_ENERGY_BACKEND,\n\
-     \x20                else analytical); never changes simulated behavior\n\
+     \x20 --energy-backend: energy pricing model (default analytical); never\n\
+     \x20                changes simulated behavior\n\
      \x20 calibrate FILE: least-squares-fit the IDD mode table to a measurement\n\
      \x20                CSV (timestamp_s,mode,watts) and emit calibration JSON\n\
      \x20 diff-models:   run one configuration through both energy backends and\n\
@@ -125,8 +141,8 @@ fn usage() -> &'static str {
      \x20                --threshold percent (default 5); --calibration FILE\n\
      \x20                prices the IDD side with a calibrated model\n\
      \x20 serve:         run the manifest batch daemon (addr defaults to\n\
-     \x20                MEMNET_SERVE_ADDR, else 127.0.0.1:9377; results cached\n\
-     \x20                in --cache-dir, default target/memnet-cache)\n\
+     \x20                {addr}; results cached in --cache-dir, default\n\
+     \x20                {cache})\n\
      \x20 submit FILE:   send a memnet-manifest v1 JSON to a daemon; events on\n\
      \x20                stderr, result payload on stdout (or --out); exits by\n\
      \x20                the result contract (0 pass, 2 assert-fail, 3 limit,\n\
@@ -145,17 +161,19 @@ fn usage() -> &'static str {
      \x20                1 I/O error, 2 mismatched or incomplete shards);\n\
      \x20                --check validates coverage without writing output\n\
      \x20 figures:       render the named tables and figures (default: all, in\n\
-     \x20                paper order) to stdout; settings and cache as for sweep"
+     \x20                paper order) to stdout; settings and cache as for sweep",
+        addr = ServerConfig::default().addr,
+        cache = memnet::bench::settings::DEFAULT_CACHE_DIR,
+    )
 }
 
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
-    let mut spec = SimConfig::builder()
-        .faults(FaultConfig::from_env())
-        .energy_backend(EnergyBackendKind::from_env());
+    let mut spec = SimConfig::builder();
     // The trace flags each set one field, so the observability config is
     // assembled here and joins the spec once every flag is read.
-    let mut obs = ObsConfig::from_env();
+    let mut obs = ObsConfig::off();
     let (mut channels, mut json, mut compare) = (1, false, false);
+    let mut file = None;
     let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
@@ -258,35 +276,28 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 println!("{}", usage());
                 std::process::exit(0);
             }
+            other if file.is_none() && !other.starts_with('-') => file = Some(other.to_owned()),
             other => return Err(format!("unknown flag {other:?}\n{}", usage())),
         }
     }
     if obs.packets && obs.trace_path.is_none() {
-        return Err("--trace-packets needs a trace file (--trace FILE or MEMNET_TRACE)".to_owned());
+        return Err("--trace-packets needs a trace file (--trace FILE)".to_owned());
     }
-    Ok(Args { spec: spec.obs(obs), channels, json, compare })
+    Ok(Args { spec: spec.obs(obs), channels, json, compare, file })
 }
 
-/// Splits a subcommand's argument vector into its positional FILE and the
-/// remaining run flags.
-fn take_file(cmd: &str, rest: Vec<String>) -> Result<(String, Vec<String>), String> {
-    let mut file = None;
-    let mut flags = Vec::new();
-    for arg in rest {
-        if file.is_none() && !arg.starts_with('-') {
-            file = Some(arg);
-        } else {
-            flags.push(arg);
-        }
-    }
-    file.map(|f| (f, flags)).ok_or_else(|| format!("{cmd} needs a FILE\n{}", usage()))
+/// Parses a `record` or `replay` invocation: its run flags and its FILE,
+/// in any order.
+fn parse_file_args(cmd: &str, rest: Vec<String>) -> Result<(String, Args), String> {
+    let mut args = parse_args(rest)?;
+    let file = args.file.take().ok_or_else(|| format!("{cmd} needs a FILE\n{}", usage()))?;
+    Ok((file, args))
 }
 
 /// `memnet record FILE [run flags]`: dump the configured workload's
 /// request stream to a JSONL request trace covering the evaluation period.
 fn record_command(rest: Vec<String>) -> Result<(), String> {
-    let (file, flags) = take_file("record", rest)?;
-    let args = parse_args(flags)?;
+    let (file, args) = parse_file_args("record", rest)?;
     if args.channels > 1 {
         return Err("record is single-channel (channels reseed per channel)".to_owned());
     }
@@ -307,8 +318,7 @@ fn record_command(rest: Vec<String>) -> Result<(), String> {
 /// `memnet replay FILE [run flags]`: drive the engine from a recorded
 /// request trace instead of the synthetic generator.
 fn replay_command(rest: Vec<String>) -> Result<ExitCode, String> {
-    let (file, flags) = take_file("replay", rest)?;
-    let args = parse_args(flags)?;
+    let (file, args) = parse_file_args("replay", rest)?;
     if args.channels > 1 {
         return Err("replay is single-channel (channels reseed per channel)".to_owned());
     }
@@ -395,7 +405,7 @@ fn diff_models_command(rest: Vec<String>) -> Result<ExitCode, String> {
     if !(threshold_pct.is_finite() && threshold_pct >= 0.0) {
         return Err(format!("bad threshold: {threshold_pct} (want a percentage >= 0)"));
     }
-    let args = parse_args(flags)?;
+    let args = parse_args(flags)?.without_file()?;
     if args.channels > 1 {
         return Err("diff-models is single-channel".to_owned());
     }
@@ -451,32 +461,25 @@ fn diff_models_command(rest: Vec<String>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Default daemon address: `--addr`, else `MEMNET_SERVE_ADDR`, else the
-/// memnet registered port. The env lookup lives here at the CLI edge —
-/// the serve crate itself never reads the environment.
-fn serve_addr(flag: Option<String>) -> String {
-    flag.or_else(|| std::env::var("MEMNET_SERVE_ADDR").ok())
-        .unwrap_or_else(|| "127.0.0.1:9377".to_owned())
-}
-
 /// `memnet serve [--addr A] [--workers N] [--cache-dir DIR] [--no-cache]`:
 /// run the manifest batch daemon until SIGINT/SIGTERM or a `shutdown`
 /// request drains it.
 fn serve_command(rest: Vec<String>) -> Result<(), String> {
-    let mut addr: Option<String> = None;
-    let mut cfg = memnet::serve::ServerConfig::default();
-    let mut cache_dir = Some(std::path::PathBuf::from("target/memnet-cache"));
+    let mut cfg = ServerConfig {
+        cache_dir: Some(memnet::bench::settings::DEFAULT_CACHE_DIR.into()),
+        ..ServerConfig::default()
+    };
     let mut it = rest.into_iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match arg.as_str() {
-            "--addr" => addr = Some(value("--addr")?),
+            "--addr" => cfg.addr = value("--addr")?,
             "--workers" => {
                 cfg.workers =
                     value("--workers")?.parse().map_err(|e| format!("bad workers: {e}"))?
             }
-            "--cache-dir" => cache_dir = Some(value("--cache-dir")?.into()),
-            "--no-cache" => cache_dir = None,
+            "--cache-dir" => cfg.cache_dir = Some(value("--cache-dir")?.into()),
+            "--no-cache" => cfg.cache_dir = None,
             "--help" | "-h" => {
                 println!("{}", usage());
                 return Ok(());
@@ -484,8 +487,6 @@ fn serve_command(rest: Vec<String>) -> Result<(), String> {
             other => return Err(format!("unknown serve argument {other:?}\n{}", usage())),
         }
     }
-    cfg.addr = serve_addr(addr);
-    cfg.cache_dir = cache_dir;
     memnet::serve::signal::install();
     let server =
         memnet::serve::Server::bind(cfg.clone()).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
@@ -607,12 +608,12 @@ fn run_manifest_command(rest: Vec<String>) -> Result<ExitCode, String> {
 fn submit_command(rest: Vec<String>) -> Result<ExitCode, String> {
     use std::io::{BufRead, BufReader, Write};
     let mut file: Option<String> = None;
-    let mut addr: Option<String> = None;
+    let mut addr = ServerConfig::default().addr;
     let mut out: Option<String> = None;
     let mut it = rest.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--addr" => addr = Some(it.next().ok_or("--addr requires a value")?),
+            "--addr" => addr = it.next().ok_or("--addr requires a value")?,
             "--out" => out = Some(it.next().ok_or("--out requires a value")?),
             "--help" | "-h" => {
                 println!("{}", usage());
@@ -636,7 +637,6 @@ fn submit_command(rest: Vec<String>) -> Result<ExitCode, String> {
     };
     let doc = serde::json::parse(&text).expect("validated manifest reparses");
 
-    let addr = serve_addr(addr);
     let mut stream = std::net::TcpStream::connect(&addr)
         .map_err(|e| format!("connecting to {addr}: {e} (is `memnet serve` running?)"))?;
     let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
@@ -749,11 +749,11 @@ fn assertion_failures(result: &serde::json::Value) -> Vec<String> {
 /// `memnet shutdown [--addr A]`: ask a daemon to drain and exit.
 fn shutdown_command(rest: Vec<String>) -> Result<(), String> {
     use std::io::{BufRead, BufReader, Write};
-    let mut addr: Option<String> = None;
+    let mut addr = ServerConfig::default().addr;
     let mut it = rest.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--addr" => addr = Some(it.next().ok_or("--addr requires a value")?),
+            "--addr" => addr = it.next().ok_or("--addr requires a value")?,
             "--help" | "-h" => {
                 println!("{}", usage());
                 return Ok(());
@@ -761,7 +761,6 @@ fn shutdown_command(rest: Vec<String>) -> Result<(), String> {
             other => return Err(format!("unknown shutdown argument {other:?}\n{}", usage())),
         }
     }
-    let addr = serve_addr(addr);
     let mut stream = std::net::TcpStream::connect(&addr)
         .map_err(|e| format!("connecting to {addr}: {e} (is `memnet serve` running?)"))?;
     stream.write_all(b"{\"op\":\"shutdown\"}\n").map_err(|e| format!("sending to {addr}: {e}"))?;
@@ -782,7 +781,7 @@ fn shutdown_command(rest: Vec<String>) -> Result<(), String> {
 /// default `--shard 0/1` this is the unsharded whole — the document
 /// `memnet merge` output is byte-compared against.
 fn sweep_command(rest: Vec<String>) -> Result<ExitCode, String> {
-    use memnet::bench::{figures, shard, Matrix, Settings};
+    use memnet::bench::{figures, shard, Matrix};
     let mut shard_arg = shard::Shard::full();
     let mut figure_list: Option<Vec<String>> = None;
     let mut out: Option<String> = None;
@@ -818,7 +817,7 @@ fn sweep_command(rest: Vec<String>) -> Result<ExitCode, String> {
             other => return Err(format!("unknown sweep argument {other:?}\n{}", usage())),
         }
     }
-    let mut settings = Settings::from_env();
+    let mut settings = env::settings();
     settings.obs = obs;
     if let Some(seeds) = seeds {
         settings.seeds = seeds;
@@ -922,7 +921,7 @@ fn merge_command(rest: Vec<String>) -> Result<ExitCode, String> {
 /// each under its section header, then log one line summing what every
 /// figure's ensure did.
 fn figures_command(rest: Vec<String>) -> Result<(), String> {
-    use memnet::bench::{figures, Matrix, Settings};
+    use memnet::bench::{figures, Matrix};
     let mut selected = Vec::new();
     for arg in &rest {
         if arg == "--help" || arg == "-h" {
@@ -937,7 +936,7 @@ fn figures_command(rest: Vec<String>) -> Result<(), String> {
     if selected.is_empty() {
         selected = figures::FIGURES.iter().collect();
     }
-    let settings = Settings::from_env();
+    let settings = env::settings();
     let mut matrix = Matrix::new();
     for figure in &selected {
         println!("==================== {} ====================", figure.title);
@@ -1054,7 +1053,7 @@ fn main() -> ExitCode {
         Some("merge") => return exit_code(merge_command(raw.skip(1).collect())),
         _ => {}
     }
-    let args = match parse_args(raw) {
+    let args = match parse_args(raw).and_then(Args::without_file) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");

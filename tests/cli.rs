@@ -1,6 +1,6 @@
 //! CLI-level tests: argument handling, the unknown-workload error path,
-//! and the `record`/`replay` subcommand round trip, driven through the
-//! real `memnet` binary.
+//! the `record`/`replay` subcommand round trip and figure rendering,
+//! driven through the real `memnet` binary.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -9,10 +9,7 @@ fn memnet(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_memnet"))
         .args(args)
         // Keep CLI behavior independent of ambient configuration.
-        .env_remove("MEMNET_FAULTS")
-        .env_remove("MEMNET_TRACE")
         .env_remove("MEMNET_AUDIT")
-        .env_remove("MEMNET_ENERGY_BACKEND")
         .output()
         .expect("memnet binary runs")
 }
@@ -38,23 +35,41 @@ fn record_then_replay_reproduces_the_live_report() {
     let trace_s = trace.to_str().unwrap();
     let run_flags = ["--workload", "mixD", "--eval-us", "50", "--seed", "7"];
 
-    let rec = memnet(&[&["record", trace_s], &run_flags[..]].concat());
-    assert!(rec.status.success(), "record failed: {}", String::from_utf8_lossy(&rec.stderr));
-
-    // Replay inherits workload and seed from the trace header.
-    let replayed = memnet(&["replay", trace_s, "--eval-us", "50", "--json"]);
-    assert!(
-        replayed.status.success(),
-        "replay failed: {}",
-        String::from_utf8_lossy(&replayed.stderr)
-    );
     let live = memnet(&[&run_flags[..], &["--json"]].concat());
     assert!(live.status.success());
-    assert_eq!(
-        String::from_utf8_lossy(&replayed.stdout),
-        String::from_utf8_lossy(&live.stdout),
-        "replay JSON differs from the live run"
-    );
+    // FILE may come before or after the run flags: a flag's value is never
+    // taken for it.
+    for (record, replay) in [
+        (
+            [&["record", trace_s], &run_flags[..]].concat(),
+            vec!["replay", trace_s, "--eval-us", "50"],
+        ),
+        (
+            [&["record"], &run_flags[..], &[trace_s]].concat(),
+            vec!["replay", "--eval-us", "50", trace_s],
+        ),
+    ] {
+        let _ = std::fs::remove_file(&trace);
+        let rec = memnet(&record);
+        assert!(
+            rec.status.success(),
+            "{record:?} failed: {}",
+            String::from_utf8_lossy(&rec.stderr)
+        );
+
+        // Replay inherits workload and seed from the trace header.
+        let replayed = memnet(&[&replay[..], &["--json"]].concat());
+        assert!(
+            replayed.status.success(),
+            "{replay:?} failed: {}",
+            String::from_utf8_lossy(&replayed.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&replayed.stdout),
+            String::from_utf8_lossy(&live.stdout),
+            "replay JSON differs from the live run"
+        );
+    }
     let _ = std::fs::remove_file(&trace);
 }
 
@@ -201,8 +216,6 @@ fn run_manifest_reports_the_exit_contract_and_ignores_backend_env() {
     // manifests must never read (it would poison the shared cache).
     let out = Command::new(env!("CARGO_BIN_EXE_memnet"))
         .args(["run-manifest", manifest.to_str().unwrap()])
-        .env_remove("MEMNET_FAULTS")
-        .env_remove("MEMNET_TRACE")
         .env_remove("MEMNET_AUDIT")
         .env("MEMNET_ENERGY_BACKEND", "idd")
         .output()
@@ -413,4 +426,78 @@ fn figures_render_named_sections_and_reject_unknown_names() {
     assert!(err.contains("unknown figure \"fig99\""), "names the culprit: {err}");
     assert!(err.contains("tables, fig04, fig05") && err.contains("model_diff"), "{err}");
     assert!(!err.contains("[matrix"), "nothing simulates: {err}");
+}
+
+#[test]
+fn environment_copies_of_run_flags_change_nothing() {
+    let trace = tmp("env-trace.jsonl");
+    let _ = std::fs::remove_file(&trace);
+    let run = ["--workload", "mixD", "--eval-us", "20", "--json"];
+    let plain = memnet(&run);
+    assert!(plain.status.success(), "{}", String::from_utf8_lossy(&plain.stderr));
+    let with_env = Command::new(env!("CARGO_BIN_EXE_memnet"))
+        .args(run)
+        .env_remove("MEMNET_AUDIT")
+        .env("MEMNET_FAULTS", "ber=1e-3")
+        .env("MEMNET_ENERGY_BACKEND", "idd")
+        .env("MEMNET_TRACE", &trace)
+        .env("MEMNET_TRACE_EVERY", "7")
+        .env("MEMNET_TRACE_MAX", "3")
+        .output()
+        .expect("memnet binary runs");
+    assert!(with_env.status.success(), "{}", String::from_utf8_lossy(&with_env.stderr));
+    assert_eq!(
+        String::from_utf8_lossy(&with_env.stdout),
+        String::from_utf8_lossy(&plain.stdout),
+        "run flags are read from the command line only"
+    );
+    assert!(!trace.exists(), "MEMNET_TRACE must not open a trace file");
+}
+
+#[test]
+fn ablations_render_as_a_registry_figure() {
+    let out = Command::new(env!("CARGO_BIN_EXE_memnet"))
+        .args(["figures", "ablations"])
+        .env_remove("MEMNET_AUDIT")
+        .env("MEMNET_NO_CACHE", "1")
+        .env("MEMNET_EVAL_US", "20")
+        .output()
+        .expect("memnet binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    let headers: Vec<&str> = text.lines().filter(|l| l.starts_with("== ablation: ")).collect();
+    assert_eq!(
+        headers,
+        [
+            "== ablation: ISP iteration cap (paper: 3) ==",
+            "== ablation: epoch length (paper: 100 us) ==",
+            "== ablation: response-link wakeup chaining (SVI-B) ==",
+            "== ablation: leftover-AMS rescue pool (SVI-A3) ==",
+        ]
+    );
+    let rows: Vec<&str> = text.lines().filter(|l| l.contains(" W  saved ")).collect();
+    let labels: Vec<&str> = rows.iter().map(|r| r.split_whitespace().next().unwrap()).collect();
+    assert_eq!(
+        labels,
+        [
+            "isp_iterations=1",
+            "isp_iterations=2",
+            "isp_iterations=3",
+            "isp_iterations=5",
+            "epoch=25us",
+            "epoch=50us",
+            "epoch=100us",
+            "epoch=200us",
+            "wake_chaining=true",
+            "wake_chaining=false",
+            "rescue_pool=true",
+            "rescue_pool=false",
+        ]
+    );
+    for row in rows {
+        assert!(row.contains("degradation") && row.contains("violations"), "{row}");
+    }
+    // The baseline and 10 distinct managed configurations.
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("[figures] 1 figure(s), 11 cell(s)"), "{err}");
 }

@@ -174,10 +174,7 @@ fn daemon_result_is_byte_identical_to_run_manifest_and_disk_cache_serves_repeats
             "--out",
             out_path.to_str().unwrap(),
         ])
-        .env_remove("MEMNET_FAULTS")
-        .env_remove("MEMNET_TRACE")
         .env_remove("MEMNET_AUDIT")
-        .env_remove("MEMNET_ENERGY_BACKEND")
         .output()
         .expect("memnet binary runs");
     assert!(out.status.success(), "run-manifest passes: {}", String::from_utf8_lossy(&out.stderr));
@@ -487,10 +484,7 @@ fn sweep_manifest_farms_out_and_merges_byte_identical_to_offline() {
     std::fs::write(&manifest_path, &offline_manifest).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_memnet"))
         .args(["run-manifest", manifest_path.to_str().unwrap()])
-        .env_remove("MEMNET_FAULTS")
-        .env_remove("MEMNET_TRACE")
         .env_remove("MEMNET_AUDIT")
-        .env_remove("MEMNET_ENERGY_BACKEND")
         .output()
         .expect("memnet binary runs");
     assert!(

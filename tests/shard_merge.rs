@@ -106,10 +106,7 @@ fn sharded_merge_is_byte_identical_including_faults_and_obs() {
 /// evaluation window, and none of the behavior-changing env knobs.
 fn memnet() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_memnet"));
-    for var in ["MEMNET_FAULTS", "MEMNET_TRACE", "MEMNET_AUDIT", "MEMNET_ENERGY_BACKEND"] {
-        cmd.env_remove(var);
-    }
-    for var in ["MEMNET_SEED", "MEMNET_THREADS", "MEMNET_CACHE_DIR"] {
+    for var in ["MEMNET_AUDIT", "MEMNET_SEED", "MEMNET_THREADS", "MEMNET_CACHE_DIR"] {
         cmd.env_remove(var);
     }
     cmd.env("MEMNET_NO_CACHE", "1").env("MEMNET_EVAL_US", "20");
